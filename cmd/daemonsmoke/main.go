@@ -1,74 +1,22 @@
-// Command daemonsmoke is the end-to-end acceptance harness verify.sh runs
-// against a live secmetricd. It drives the daemon exactly like external
-// tooling would — over HTTP through pkg/client — and asserts the serving
-// contract:
+// Command daemonsmoke is the end-to-end drill verify.sh runs for what only
+// real processes show. It boots secmetricd binaries itself and drives them
+// over HTTP through pkg/client:
 //
-//	-mode full (default):
-//	  * /healthz answers ok
-//	  * N concurrent /v1/score requests all succeed and return reports
-//	    byte-identical to each other and to a `secmetric score -json` CLI
-//	    run over the same directory and model (-cli file)
-//	  * /v1/findings returns a non-empty findings stream
-//	  * /v1/analyze succeeds
-//	  * /metrics exposes the request counters, cache traffic, and
-//	    per-phase busy totals grown by the load above
-//	  * /v1/models/reload succeeds and re-lists the models
-//	  * a request with a 1 ms budget over a large synthetic tree fails
-//	    with the daemon's deadline signal (504) — and the process stays
-//	    alive (healthz still answers)
+//	-mode drain:
+//	  * a daemon that receives SIGTERM with requests in flight (one
+//	    running, the rest queued behind it) answers every one of them
+//	    with the same report, then exits 0 and logs "drained cleanly"
 //
-//	-mode delta:
-//	  * a /v1/delta modification before any seed fails with the 409
-//	    stale-session signal
-//	  * seeding a session with the full tree succeeds (seq 1, no
-//	    comparison) and scores byte-identically to a cold /v1/score of
-//	    the same tree under the same subject name
-//	  * a 1-file change applies incrementally (seq 2, diagnostics cover
-//	    only that file) and both its report and its comparison are
-//	    byte-identical to cold /v1/score and /v1/compare over the full
-//	    trees — the incremental path changes the cost, never the bytes
-//	  * a changeset contradicting the session state answers 409 and
-//	    leaves the session usable
+//	-mode fleet:
+//	  * three -db backends behind the consistent-hash router answer every
+//	    repository; SIGKILLing one mid-load leaves every repository
+//	    answering its baseline bytes (its keys slide to the ring
+//	    successor), and restarting it on its old address re-admits it
 //
-//	-mode rank:
-//	  * /v1/rank returns a non-empty function-level ranking that is
-//	    byte-identical across repeated requests and — with -cli pointing at
-//	    a `secmetric rank -json` run over the same directory — byte-identical
-//	    to the CLI's ranking
-//
-//	-mode burst:
-//	  * a burst of concurrent /v1/score requests against a tightly
-//	    provisioned daemon (workers=1, queue=1) yields at least one 429
-//	    rejection and at least one success, and every success is
-//	    byte-identical — backpressure sheds load instead of queueing
-//	    without bound, and shed load never corrupts served results. Each
-//	    request carries a distinct tree name so the burst is distinct
-//	    work: an identical burst would coalesce into one queued job and
-//	    (correctly) never shed.
-//
-//	-mode stream:
-//	  * /v1/analyze/stream and /v1/findings/stream (driven through the
-//	    typed client) fire one per-file callback per tree file and end
-//	    with a summary byte-identical to the batch endpoint's response;
-//	    the per-file findings records concatenated in path order carry
-//	    exactly the batch report's findings
-//
-//	-mode fleet (boots its own processes; needs -daemon and -model):
-//	  * a 3-backend fleet behind the consistent-hash router answers
-//	    /v1/score, /v1/rank, /v1/delta, and /v1/query byte-identical to a
-//	    single solo daemon (query times normalized — shards stamp their
-//	    own clocks)
-//	  * an unseeded /v1/delta modification crosses the router as the
-//	    same 409 stale-session signal a direct daemon answers
-//	  * a burst of identical scores through the router coalesces on the
-//	    home backend (its coalesced_total counter moves) and every
-//	    response is byte-identical to the solo daemon's
-//	  * SIGKILLing one backend mid-burst leaves the fleet serving: after
-//	    the kill every repo still scores correctly (keys slide to the
-//	    ring successor), and restarting the backend on its old address
-//	    re-admits it (router health returns to all-healthy)
-//
-// Exit status 0 means every assertion held.
+// Byte parity (CLI vs daemon, batch vs stream, delta vs cold, solo vs
+// fleet), deadlines, and 429 backpressure are Go tests in cmd/secmetric,
+// internal/server, and internal/router. Exit status 0 means every
+// assertion held.
 package main
 
 import (
@@ -77,11 +25,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
+	"time"
 
 	"repro/pkg/api"
 	"repro/pkg/client"
@@ -91,50 +43,38 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("daemonsmoke: ")
 	var (
-		addr      = flag.String("addr", "", "daemon address (host:port); unused by -mode fleet")
+		mode      = flag.String("mode", "drain", "drain | fleet")
+		daemonBin = flag.String("daemon", "", "path to the secmetricd binary to boot")
+		modelFile = flag.String("model", "", "model file every booted daemon serves")
 		dir       = flag.String("dir", "examples/vulnapp", "source directory to score")
-		cliFile   = flag.String("cli", "", "file holding `secmetric score -json` output to compare against")
-		mode      = flag.String("mode", "full", "full | burst | delta | rank | stream | fleet")
-		requests  = flag.Int("requests", 8, "concurrent requests per phase")
-		replicas  = flag.Int("replicas", 300, "file replicas in the large synthetic tree (deadline/burst phases)")
-		daemonBin = flag.String("daemon", "", "fleet mode: path to the secmetricd binary to boot")
-		modelFile = flag.String("model", "", "fleet mode: model file every booted daemon serves")
+		requests  = flag.Int("requests", 8, "drain mode: requests in flight at SIGTERM")
+		replicas  = flag.Int("replicas", 300, "drain mode: file replicas in the tree, sized so the first request is still running when the rest are queued")
 	)
 	flag.Parse()
-	ctx := context.Background()
-	if *mode == "fleet" {
-		if *daemonBin == "" || *modelFile == "" {
-			log.Fatal("-mode fleet needs -daemon and -model")
-		}
-		if err := runFleet(ctx, *daemonBin, *modelFile, *dir, *requests); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("daemonsmoke: OK (fleet)")
-		return
+	if *daemonBin == "" || *modelFile == "" {
+		log.Fatal("-daemon and -model are required")
 	}
-	if *addr == "" {
-		log.Fatal("-addr is required")
-	}
-	c := client.New("http://" + *addr)
-	var err error
-	switch *mode {
-	case "full":
-		err = runFull(ctx, c, *dir, *cliFile, *requests, *replicas)
-	case "burst":
-		err = runBurst(ctx, c, *dir, *requests, *replicas)
-	case "delta":
-		err = runDelta(ctx, c, *dir)
-	case "rank":
-		err = runRank(ctx, c, *dir, *cliFile)
-	case "stream":
-		err = runStream(ctx, c, *dir)
-	default:
-		err = fmt.Errorf("unknown -mode %q", *mode)
-	}
-	if err != nil {
+	if err := run(*mode, *daemonBin, *modelFile, *dir, *requests, *replicas); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("daemonsmoke: OK (" + *mode + ")")
+}
+
+func run(mode, daemonBin, modelFile, dir string, requests, replicas int) error {
+	tmp, err := os.MkdirTemp("", "daemonsmoke")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	ctx := context.Background()
+	switch mode {
+	case "drain":
+		return runDrain(ctx, tmp, daemonBin, modelFile, dir, requests, replicas)
+	case "fleet":
+		return runFleet(ctx, tmp, daemonBin, modelFile, dir)
+	default:
+		return fmt.Errorf("unknown -mode %q", mode)
+	}
 }
 
 // canon re-marshals any JSON-representable value with sorted keys and
@@ -151,41 +91,102 @@ func canon(v any) ([]byte, error) {
 	return json.MarshalIndent(x, "", " ")
 }
 
-// bigTree replicates dir's files with distinct paths AND distinct contents
-// (a unique trailing comment), so the content-addressed cache cannot
-// shortcut the work — the analysis cost scales with replicas.
-func bigTree(dir string, replicas int) (api.Tree, error) {
+// daemonProc is one secmetricd this smoke booted.
+type daemonProc struct {
+	name string
+	cmd  *exec.Cmd
+	addr string
+	args []string // the arguments after the address flags, for restarts
+	logP string
+	done chan error // receives the process's exit once
+}
+
+// startDaemon boots bin with extra plus addr bookkeeping and waits for the
+// address file. addr == "" picks an ephemeral port.
+func startDaemon(bin, tmp, name, addr string, extra ...string) (*daemonProc, error) {
+	addrFile := filepath.Join(tmp, name+".addr")
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	logP := filepath.Join(tmp, name+".log")
+	logf, err := os.Create(logP)
+	if err != nil {
+		return nil, err
+	}
+	defer logf.Close()
+	cmd := exec.Command(bin, append([]string{"-addr", addr, "-addr-file", addrFile}, extra...)...)
+	cmd.Stdout, cmd.Stderr = logf, logf
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("start %s: %w", name, err)
+	}
+	d := &daemonProc{name: name, cmd: cmd, args: extra, logP: logP, done: make(chan error, 1)}
+	go func() { d.done <- cmd.Wait() }()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
+			d.addr = string(data)
+			return d, nil
+		}
+		if time.Now().After(deadline) {
+			d.kill()
+			logData, _ := os.ReadFile(logP)
+			return nil, fmt.Errorf("%s never wrote its address; log:\n%s", name, logData)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// wait waits for the process to exit, bounded by timeout.
+func (d *daemonProc) wait(timeout time.Duration) error {
+	select {
+	case err := <-d.done:
+		d.done <- err // keep the exit readable for later callers
+		return err
+	case <-time.After(timeout):
+		return fmt.Errorf("%s did not exit within %v", d.name, timeout)
+	}
+}
+
+// stop drains the process with SIGTERM, killing it if it hangs.
+func (d *daemonProc) stop() {
+	d.cmd.Process.Signal(syscall.SIGTERM)
+	if d.wait(10*time.Second) != nil {
+		d.kill()
+	}
+}
+
+// kill SIGKILLs the process: a backend dying without a drain.
+func (d *daemonProc) kill() {
+	d.cmd.Process.Kill()
+	d.wait(10 * time.Second)
+}
+
+// runDrain sends SIGTERM while one request runs and the rest wait for the
+// single worker, and requires every one of them answered before a clean
+// exit.
+func runDrain(ctx context.Context, tmp, bin, modelFile, dir string, requests, replicas int) error {
+	d, err := startDaemon(bin, tmp, "drain", "", "-model", modelFile,
+		"-workers", "1", "-jobs", "1", "-queue", strconv.Itoa(requests))
+	if err != nil {
+		return err
+	}
+	defer d.stop()
+	c := client.New("http://" + d.addr)
+
+	// Distinct contents per replica, so the first request deep-analyzes
+	// every file and the rest queue behind it.
 	base, err := client.TreeFromDir(dir)
 	if err != nil {
-		return api.Tree{}, err
+		return err
 	}
-	out := api.Tree{Name: "bigtree"}
+	big := api.Tree{Name: "drain"}
 	for i := 0; i < replicas; i++ {
 		for _, f := range base.Files {
-			out.Files = append(out.Files, api.File{
+			big.Files = append(big.Files, api.File{
 				Path:    fmt.Sprintf("r%04d/%s", i, f.Path),
 				Content: f.Content + fmt.Sprintf("\n// replica %d\n", i),
 			})
 		}
-	}
-	return out, nil
-}
-
-func runFull(ctx context.Context, c *client.Client, dir, cliFile string, requests, replicas int) error {
-	// 1. Liveness.
-	h, err := c.Health(ctx)
-	if err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
-	if h.Status != "ok" || len(h.Models) == 0 {
-		return fmt.Errorf("healthz: status %q, models %v", h.Status, h.Models)
-	}
-	log.Printf("healthz ok: models=%v default=%q", h.Models, h.DefaultModel)
-
-	// 2. Concurrent scores, byte-identical to each other and to the CLI.
-	tree, err := client.TreeFromDir(dir)
-	if err != nil {
-		return err
 	}
 	reports := make([][]byte, requests)
 	errs := make([]error, requests)
@@ -194,371 +195,199 @@ func runFull(ctx context.Context, c *client.Client, dir, cliFile string, request
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := c.Score(ctx, api.ScoreRequest{Tree: tree})
-			if err != nil {
-				errs[i] = err
-				return
+			resp, err := c.Score(ctx, api.ScoreRequest{Tree: big})
+			if err == nil {
+				reports[i], err = canon(resp.Report)
 			}
-			reports[i], errs[i] = canon(resp.Report)
+			errs[i] = err
 		}(i)
 	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		h, err := c.Health(ctx)
+		if err != nil {
+			return fmt.Errorf("healthz: %w", err)
+		}
+		if h.Queued == int64(requests) && h.InFlight == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("never saw all %d requests admitted (last healthz: %+v); raise -replicas", requests, h)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return err
+	}
+	log.Printf("SIGTERM with %d requests admitted (1 running, %d queued)", requests, requests-1)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("concurrent score %d: %w", i, err)
+			return fmt.Errorf("request %d in flight at SIGTERM: %w", i, err)
 		}
-	}
-	for i := 1; i < requests; i++ {
 		if string(reports[i]) != string(reports[0]) {
-			return fmt.Errorf("concurrent score %d returned different report bytes than score 0", i)
+			return fmt.Errorf("request %d answered different report bytes than request 0", i)
 		}
 	}
-	log.Printf("%d concurrent scores byte-identical", requests)
-	if cliFile != "" {
-		cliRaw, err := os.ReadFile(cliFile)
-		if err != nil {
-			return err
-		}
-		var cliRep any
-		if err := json.Unmarshal(cliRaw, &cliRep); err != nil {
-			return fmt.Errorf("parse %s: %w", cliFile, err)
-		}
-		want, err := canon(cliRep)
-		if err != nil {
-			return err
-		}
-		if string(reports[0]) != string(want) {
-			return fmt.Errorf("daemon report differs from CLI report (%s)", cliFile)
-		}
-		log.Printf("daemon report byte-identical to CLI run")
+	if err := d.wait(30 * time.Second); err != nil {
+		return fmt.Errorf("drain exit: %w", err)
 	}
-
-	// 3. Findings: 200 + non-empty.
-	fr, err := c.Findings(ctx, api.FindingsRequest{Tree: tree})
-	if err != nil {
-		return fmt.Errorf("findings: %w", err)
-	}
-	if fr.Report == nil || fr.Report.Total() == 0 {
-		return fmt.Errorf("findings: empty report for %s", dir)
-	}
-	log.Printf("findings: %d finding(s)", fr.Report.Total())
-
-	// 4. Analyze.
-	ar, err := c.Analyze(ctx, api.AnalyzeRequest{Tree: tree})
-	if err != nil {
-		return fmt.Errorf("analyze: %w", err)
-	}
-	if len(ar.Features) == 0 {
-		return fmt.Errorf("analyze: empty feature vector")
-	}
-
-	// 5. Metrics exposition.
-	m, err := c.RawMetrics(ctx)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	for _, want := range []string{
-		"secmetricd_requests_total",
-		"secmetricd_request_duration_seconds_bucket",
-		"secmetricd_in_flight_requests",
-		"secmetricd_featcache_hits_total",
-		"secmetricd_models_loaded",
-		`secmetricd_phase_seconds_total{phase=`,
-		`secmetricd_phase_spans_total{phase="request"}`,
-	} {
-		if !strings.Contains(m, want) {
-			return fmt.Errorf("metrics: missing series %s", want)
-		}
-	}
-	// The traffic above must have grown the per-phase counters: every
-	// admitted request records at least its root "request" span.
-	if !phaseSpansPositive(m) {
-		return fmt.Errorf("metrics: phase_spans_total{phase=\"request\"} not positive after load:\n%s", m)
-	}
-	log.Printf("metrics exposition ok (%d bytes), phase counters grew", len(m))
-
-	// 6. Hot reload.
-	rl, err := c.Reload(ctx)
-	if err != nil {
-		return fmt.Errorf("reload: %w", err)
-	}
-	if len(rl.Models) == 0 {
-		return fmt.Errorf("reload: no models after reload")
-	}
-	log.Printf("reload ok: models=%v", rl.Models)
-
-	// 7. Deadline: a 1 ms budget over a large tree must trip the
-	// daemon's timeout path, not kill the process.
-	big, err := bigTree(dir, replicas)
+	logData, err := os.ReadFile(d.logP)
 	if err != nil {
 		return err
 	}
-	_, err = c.Score(ctx, api.ScoreRequest{Tree: big, TimeoutMS: 1})
-	if err == nil {
-		return fmt.Errorf("deadline: 1ms score of %d files unexpectedly succeeded", len(big.Files))
+	if !strings.Contains(string(logData), "drained cleanly") {
+		return fmt.Errorf("no clean-drain log line:\n%s", logData)
 	}
-	if !client.IsDeadline(err) {
-		return fmt.Errorf("deadline: want the daemon's 504 signal, got: %w", err)
-	}
-	if _, err := c.Health(ctx); err != nil {
-		return fmt.Errorf("daemon unhealthy after deadline trip: %w", err)
-	}
-	log.Printf("deadline trip returned 504 and the daemon stayed up")
+	log.Printf("all %d answered with the same report; exit 0, drained cleanly", requests)
 	return nil
 }
 
-// phaseSpansPositive parses the request-phase span counter out of the
-// exposition and reports whether it is positive.
-func phaseSpansPositive(m string) bool {
-	const prefix = `secmetricd_phase_spans_total{phase="request"} `
-	for _, line := range strings.Split(m, "\n") {
-		if v, ok := strings.CutPrefix(line, prefix); ok {
-			n, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			return err == nil && n > 0
+// routerHealthy polls the router's /healthz until want backends report
+// healthy (or the deadline passes).
+func routerHealthy(routerAddr string, want int, deadline time.Duration) error {
+	end := time.Now().Add(deadline)
+	for {
+		var health api.RouterHealth
+		resp, err := http.Get("http://" + routerAddr + "/healthz")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&health)
+			resp.Body.Close()
 		}
-	}
-	return false
-}
-
-// runDelta drives the incremental endpoint end to end and holds it to the
-// byte-parity contract: every report or comparison it produces must be
-// byte-identical to the cold endpoints' answer for the same tree under the
-// same subject name.
-func runDelta(ctx context.Context, c *client.Client, dir string) error {
-	tree, err := client.TreeFromDir(dir)
-	if err != nil {
-		return err
-	}
-	if len(tree.Files) == 0 {
-		return fmt.Errorf("delta: no source files under %s", dir)
-	}
-	const repo = "smoke-repo"
-
-	// 1. Unseeded modification: the daemon has no picture of this repo.
-	_, err = c.Delta(ctx, api.DeltaRequest{RepoID: repo, Changeset: api.Changeset{
-		Modified: []api.File{tree.Files[0]},
-	}})
-	if err == nil {
-		return fmt.Errorf("delta: unseeded modify unexpectedly succeeded")
-	}
-	if !client.IsStaleSession(err) {
-		return fmt.Errorf("delta: want the 409 stale-session signal, got: %w", err)
-	}
-	log.Printf("unseeded modify rejected with 409 stale_session")
-
-	// 2. Seed with the full tree.
-	seed, err := c.Delta(ctx, api.DeltaRequest{RepoID: repo, Changeset: api.Changeset{Added: tree.Files}})
-	if err != nil {
-		return fmt.Errorf("delta seed: %w", err)
-	}
-	if seed.Seq != 1 || seed.Files != len(tree.Files) || seed.Report == nil || seed.Comparison != nil {
-		return fmt.Errorf("delta seed: seq=%d files=%d report? %v comparison? %v",
-			seed.Seq, seed.Files, seed.Report != nil, seed.Comparison != nil)
-	}
-	// Cold truth for the seed: score the same tree under the delta
-	// endpoint's subject name; identical feature vectors must yield
-	// byte-identical reports.
-	oldTree := api.Tree{Name: fmt.Sprintf("%s@1", repo), Files: tree.Files}
-	coldSeed, err := c.Score(ctx, api.ScoreRequest{Tree: oldTree})
-	if err != nil {
-		return fmt.Errorf("cold score (seed): %w", err)
-	}
-	if err := assertSameJSON("seed report vs cold score", seed.Report, coldSeed.Report); err != nil {
-		return err
-	}
-	log.Printf("seed applied (%d files, %d ms); report byte-identical to cold score", seed.Files, seed.ElapsedMS)
-
-	// 3. One-file change, applied incrementally.
-	edited := tree.Files[0]
-	edited.Content += "\nint smoke_delta_edit(int x) { if (x > 3) { return x; } return 0; }\n"
-	change, err := c.Delta(ctx, api.DeltaRequest{RepoID: repo, Changeset: api.Changeset{
-		Modified: []api.File{edited},
-	}})
-	if err != nil {
-		return fmt.Errorf("delta change: %w", err)
-	}
-	if change.Seq != 2 || change.Files != len(tree.Files) || change.Comparison == nil {
-		return fmt.Errorf("delta change: seq=%d files=%d comparison? %v",
-			change.Seq, change.Files, change.Comparison != nil)
-	}
-	if change.Diagnostics == nil || len(change.Diagnostics.Files) != 1 {
-		return fmt.Errorf("delta change: diagnostics should cover exactly the edited file, got %+v", change.Diagnostics)
-	}
-
-	// 4. Byte parity against the cold endpoints over the full trees.
-	newFiles := append([]api.File(nil), tree.Files...)
-	newFiles[0] = edited
-	newTree := api.Tree{Name: fmt.Sprintf("%s@2", repo), Files: newFiles}
-	coldScore, err := c.Score(ctx, api.ScoreRequest{Tree: newTree})
-	if err != nil {
-		return fmt.Errorf("cold score (change): %w", err)
-	}
-	if err := assertSameJSON("change report vs cold score", change.Report, coldScore.Report); err != nil {
-		return err
-	}
-	coldCmp, err := c.Compare(ctx, api.CompareRequest{Old: oldTree, New: newTree})
-	if err != nil {
-		return fmt.Errorf("cold compare: %w", err)
-	}
-	if err := assertSameJSON("change comparison vs cold compare", change.Comparison, coldCmp.Comparison); err != nil {
-		return err
-	}
-	log.Printf("1-file change applied in %d ms; report and comparison byte-identical to cold score/compare", change.ElapsedMS)
-
-	// 5. A contradictory changeset is rejected and the session survives.
-	_, err = c.Delta(ctx, api.DeltaRequest{RepoID: repo, Changeset: api.Changeset{Added: []api.File{edited}}})
-	if !client.IsStaleSession(err) {
-		return fmt.Errorf("delta: re-adding an existing file should answer 409 stale_session, got: %v", err)
-	}
-	again, err := c.Delta(ctx, api.DeltaRequest{RepoID: repo, Changeset: api.Changeset{
-		Modified: []api.File{tree.Files[0]},
-	}})
-	if err != nil {
-		return fmt.Errorf("delta after rejection: %w", err)
-	}
-	if again.Seq != 3 {
-		return fmt.Errorf("delta after rejection: seq=%d, want 3", again.Seq)
-	}
-	log.Printf("stale changeset rejected; session continued at seq %d", again.Seq)
-	return nil
-}
-
-// assertSameJSON canon-compares two JSON-representable values.
-func assertSameJSON(what string, a, b any) error {
-	ca, err := canon(a)
-	if err != nil {
-		return err
-	}
-	cb, err := canon(b)
-	if err != nil {
-		return err
-	}
-	if string(ca) != string(cb) {
-		return fmt.Errorf("%s: bytes differ:\n--- incremental ---\n%s\n--- cold ---\n%s", what, ca, cb)
-	}
-	return nil
-}
-
-// runRank drives /v1/rank and holds it to the determinism contract: repeated
-// requests are byte-identical, and — when -cli names a `secmetric rank -json`
-// capture of the same directory — the daemon's ranking matches the CLI's
-// byte for byte after canonical re-marshalling.
-func runRank(ctx context.Context, c *client.Client, dir, cliFile string) error {
-	tree, err := client.TreeFromDir(dir)
-	if err != nil {
-		return err
-	}
-	// The ranking echoes the tree's subject name; the CLI loader names the
-	// tree after the directory's base name, so match it for byte parity.
-	tree.Name = filepath.Base(dir)
-	first, err := c.Rank(ctx, api.RankRequest{Tree: tree})
-	if err != nil {
-		return fmt.Errorf("rank: %w", err)
-	}
-	if first.Ranking == nil || first.Ranking.Functions == 0 || len(first.Ranking.Ranked) == 0 {
-		return fmt.Errorf("rank: empty ranking for %s", dir)
-	}
-	want, err := canon(first.Ranking)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < 3; i++ {
-		again, err := c.Rank(ctx, api.RankRequest{Tree: tree})
-		if err != nil {
-			return fmt.Errorf("rank (repeat %d): %w", i, err)
+		if err == nil {
+			healthy := 0
+			for _, b := range health.Backends {
+				if b.Healthy {
+					healthy++
+				}
+			}
+			if healthy == want {
+				return nil
+			}
 		}
-		got, err := canon(again.Ranking)
+		if time.Now().After(end) {
+			return fmt.Errorf("router never reached %d healthy backend(s): %+v", want, health.Backends)
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// runFleet boots three -db backends and the router, baselines every repo,
+// SIGKILLs one backend under load, and requires every repo to keep
+// answering its baseline bytes through the outage and after the restart.
+func runFleet(ctx context.Context, tmp, bin, modelFile, dir string) error {
+	backends := make([]*daemonProc, 3)
+	routeList := make([]string, len(backends))
+	for i := range backends {
+		name := fmt.Sprintf("b%d", i+1)
+		b, err := startDaemon(bin, tmp, name, "", "-model", modelFile, "-workers", "2", "-queue", "64",
+			"-db", filepath.Join(tmp, name+".db"))
 		if err != nil {
 			return err
 		}
-		if string(got) != string(want) {
-			return fmt.Errorf("rank: repeat %d returned different ranking bytes", i)
-		}
+		defer b.stop()
+		backends[i], routeList[i] = b, "http://"+b.addr
 	}
-	log.Printf("rank: %d function(s) in %d bin(s), byte-identical across repeats",
-		first.Ranking.Functions, first.Ranking.Bins)
-	if cliFile != "" {
-		cliRaw, err := os.ReadFile(cliFile)
-		if err != nil {
-			return err
-		}
-		var cliRanking any
-		if err := json.Unmarshal(cliRaw, &cliRanking); err != nil {
-			return fmt.Errorf("parse %s: %w", cliFile, err)
-		}
-		cliBytes, err := canon(cliRanking)
-		if err != nil {
-			return err
-		}
-		if string(want) != string(cliBytes) {
-			return fmt.Errorf("rank: daemon ranking differs from CLI ranking (%s)", cliFile)
-		}
-		log.Printf("rank: daemon ranking byte-identical to CLI run")
-	}
-	return nil
-}
-
-func runBurst(ctx context.Context, c *client.Client, dir string, requests, replicas int) error {
-	big, err := bigTree(dir, replicas)
+	router, err := startDaemon(bin, tmp, "router", "", "-route", strings.Join(routeList, ","), "-health-interval", "100ms")
 	if err != nil {
 		return err
 	}
-	type result struct {
-		report []byte
-		err    error
+	defer router.stop()
+	log.Printf("fleet up: backends %v, router %s", routeList, router.addr)
+	c := client.New("http://" + router.addr)
+
+	base, err := client.TreeFromDir(dir)
+	if err != nil {
+		return err
 	}
-	results := make([]result, requests)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			// Distinct tree names per request: the tree name is part of
-			// the request-coalescing key, so an identical burst would
-			// deduplicate into one queued job and never trip 429. The
-			// backpressure contract is about distinct work.
-			t := big
-			t.Name = fmt.Sprintf("%s-burst-%02d", big.Name, i)
-			resp, err := c.Score(ctx, api.ScoreRequest{Tree: t})
+	const repos = 12
+	score := func(i int) ([]byte, error) {
+		name := fmt.Sprintf("fleet-%d", i)
+		resp, err := c.Score(ctx, api.ScoreRequest{Tree: api.Tree{Name: name, Files: base.Files}})
+		if err != nil {
+			return nil, fmt.Errorf("score %s: %w", name, err)
+		}
+		return canon(resp.Report)
+	}
+	baseline := make([][]byte, repos)
+	for i := range baseline {
+		if baseline[i], err = score(i); err != nil {
+			return err
+		}
+	}
+	sweep := func(when string) error {
+		for i, want := range baseline {
+			got, err := score(i)
 			if err != nil {
-				results[i] = result{err: err}
-				return
+				return fmt.Errorf("%s: %w", when, err)
 			}
-			// The per-request name is the only field that may differ
-			// between successes; normalize it before the parity check.
-			resp.Report.Name = big.Name
-			b, err := canon(resp.Report)
-			results[i] = result{report: b, err: err}
-		}(i)
-	}
-	close(start) // release the whole burst at once
-	wg.Wait()
-
-	var ok, rejected int
-	var first []byte
-	for i, r := range results {
-		switch {
-		case r.err == nil:
-			ok++
-			if first == nil {
-				first = r.report
-			} else if string(r.report) != string(first) {
-				return fmt.Errorf("burst: successful response %d differs from the first", i)
+			if string(got) != string(want) {
+				return fmt.Errorf("%s: fleet-%d bytes differ from baseline", when, i)
 			}
-		case client.IsQueueFull(r.err):
-			rejected++
-		default:
-			return fmt.Errorf("burst request %d: unexpected error: %w", i, r.err)
 		}
+		return nil
 	}
-	log.Printf("burst of %d: %d served, %d rejected with 429", requests, ok, rejected)
+
+	// Load from four callers while one backend dies. Requests in flight on
+	// the victim at the kill instant may fail; the sweeps are the contract.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var ok, failed int
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r := (w*31 + i) % repos
+				got, err := score(r)
+				mu.Lock()
+				if err == nil && string(got) == string(baseline[r]) {
+					ok++
+				} else {
+					failed++
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	time.Sleep(500 * time.Millisecond)
+	victim := backends[1]
+	victim.kill()
+	log.Printf("killed backend %s (%s) under load", victim.name, victim.addr)
+	time.Sleep(500 * time.Millisecond)
+	close(stop)
+	wg.Wait()
 	if ok == 0 {
-		return fmt.Errorf("burst: no request succeeded")
+		return fmt.Errorf("kill drill: no request succeeded under load (%d failures)", failed)
 	}
-	if rejected == 0 {
-		return fmt.Errorf("burst: no request was rejected with 429 (queue not enforcing backpressure?)")
+	log.Printf("kill drill load: %d correct responses, %d transient failures", ok, failed)
+
+	if err := routerHealthy(router.addr, 2, 10*time.Second); err != nil {
+		return fmt.Errorf("after kill: %w", err)
 	}
+	if err := sweep("post-kill"); err != nil {
+		return err
+	}
+	log.Printf("post-kill: all %d repos answer baseline bytes through 2 surviving backends", repos)
+
+	restarted, err := startDaemon(bin, tmp, victim.name+"-restart", victim.addr, victim.args...)
+	if err != nil {
+		return fmt.Errorf("restart %s: %w", victim.name, err)
+	}
+	defer restarted.stop()
+	if err := routerHealthy(router.addr, 3, 15*time.Second); err != nil {
+		return fmt.Errorf("after restart: %w", err)
+	}
+	if err := sweep("post-restart"); err != nil {
+		return err
+	}
+	log.Printf("recovery: backend re-admitted; all repos answer baseline bytes with the fleet whole")
 	return nil
 }

@@ -69,11 +69,6 @@ func run(ctx context.Context, args []string) error {
 		return cmdFocus(args[1:])
 	case "rank":
 		return cmdRank(ctx, args[1:])
-	case "hotspots":
-		// Deprecated alias: hotspots' heuristic scorer was folded into the
-		// function-level ranking engine.
-		fmt.Fprintln(os.Stderr, "secmetric: `hotspots` is deprecated; forwarding to `rank`")
-		return cmdRank(ctx, args[1:])
 	case "findings":
 		return cmdFindings(args[1:])
 	case "query":

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,9 @@ import (
 	"testing"
 
 	secmetric "repro"
+	"repro/internal/server"
+	"repro/pkg/api"
+	"repro/pkg/client"
 )
 
 var (
@@ -154,6 +158,7 @@ func TestCLIErrors(t *testing.T) {
 		{"focus"},                          // missing dir
 		{"findings"},                       // missing dir
 		{"findings", "-min", "bogus", "x"}, // bad severity
+		{"hotspots", "x"},                  // removed alias of rank
 	}
 	for _, args := range cases {
 		if err := run(context.Background(), args); err == nil {
@@ -183,10 +188,6 @@ func TestCLIRank(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"rank", t.TempDir()}); err == nil {
 		t.Fatal("empty dir produced a ranking")
-	}
-	// The deprecated alias forwards to the same engine.
-	if err := run(context.Background(), []string{"hotspots", "-top", "3", dir}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -424,5 +425,71 @@ func TestCLIHistoryAndQuery(t *testing.T) {
 	// A malformed query is a CLI error, not a panic.
 	if err := run(context.Background(), []string{"query", "-db", db, "bogus > 1"}); err == nil {
 		t.Fatal("malformed query accepted")
+	}
+}
+
+// canonJSON re-marshals JSON text or a value with sorted keys and fixed
+// indentation, so two are byte-identical iff they are equal.
+func canonJSON(t *testing.T, v any) string {
+	t.Helper()
+	raw, ok := v.(string)
+	if !ok {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = string(b)
+	}
+	var x any
+	if err := json.Unmarshal([]byte(raw), &x); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.MarshalIndent(x, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestCLIMatchesDaemon: `score -json` and `rank -json` print exactly what
+// secmetricd answers for the same directory and model file.
+func TestCLIMatchesDaemon(t *testing.T) {
+	const dir = "../../examples/vulnapp"
+	ctx := context.Background()
+	modelFile := sharedModel(t)
+	reg := server.NewRegistry("", map[string]string{"model": modelFile})
+	if _, err := reg.Load(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(reg, server.Config{Workers: 1}).Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+	tree, err := client.TreeFromDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cliScore := captureStdout(t, func() error {
+		return run(ctx, []string{"score", "-model", modelFile, "-json", dir})
+	})
+	score, err := c.Score(ctx, api.ScoreRequest{Tree: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonJSON(t, score.Report), canonJSON(t, cliScore); got != want {
+		t.Fatalf("daemon score differs from the CLI:\n%s\nvs\n%s", got, want)
+	}
+
+	cliRank := captureStdout(t, func() error {
+		return run(ctx, []string{"rank", "-top", "0", "-json", dir})
+	})
+	// The CLI loader names the ranked tree by the directory's base name.
+	tree.Name = filepath.Base(dir)
+	rank, err := c.Rank(ctx, api.RankRequest{Tree: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonJSON(t, rank.Ranking), canonJSON(t, cliRank); got != want {
+		t.Fatalf("daemon ranking differs from the CLI:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -57,7 +57,7 @@ const (
 	StoreRepos      = 4
 	// CoalesceFanout is the burst width of the score_coalesced workload:
 	// how many identical concurrent scores one op fans through the
-	// singleflight group (the request coalescer's dedup primitive).
+	// singleflight group (the per-file extraction flight's dedup primitive).
 	CoalesceFanout = 8
 
 	benchSeed = 0xbe9c4

@@ -361,9 +361,9 @@ func (w *workloads) list() []workload {
 		{"score_coalesced", func() {
 			// A CoalesceFanout-wide burst of identical scores through the
 			// singleflight group: one leader runs the model, the rest
-			// adopt its flight — the dedup hot path the daemon's request
-			// coalescer pays per burst (goroutine fan-out, channel wait,
-			// key bookkeeping) on top of one model execution.
+			// adopt its flight — the dedup hot path the daemon's per-file
+			// extraction flight pays per burst (goroutine fan-out, channel
+			// wait, key bookkeeping) on top of one execution.
 			var wg sync.WaitGroup
 			for i := 0; i < CoalesceFanout; i++ {
 				wg.Add(1)

@@ -8,6 +8,7 @@
 package findings
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/lint"
 	"repro/internal/metrics"
 	"repro/internal/minic"
+	"repro/internal/ml"
 )
 
 // Severity ranks findings for triage.
@@ -280,9 +282,31 @@ type Report struct {
 // Collect runs AnalyzeFile over every file of the tree and merges the
 // streams, sorted by (file, line, rule, message).
 func Collect(t *metrics.Tree) *Report {
+	rep, _ := CollectEach(context.Background(), t, 1, SevInfo, nil)
+	return rep
+}
+
+// CollectEach is Collect on a pool of at most jobs workers (jobs <= 0 uses
+// every core), keeping only findings at or above minSev. fileDone, when
+// non-nil, receives file i's kept findings, sorted, as soon as that file is
+// analyzed — in completion order, concurrently from the pool's workers. The
+// report is the same at every jobs. A canceled ctx stops the pool and is
+// returned as the error.
+func CollectEach(ctx context.Context, t *metrics.Tree, jobs int, minSev Severity, fileDone func(i int, kept []Finding)) (*Report, error) {
+	perFile := make([][]Finding, len(t.Files))
+	err := ml.ParallelForCtx(ctx, len(t.Files), jobs, func(i int) error {
+		perFile[i] = (&Report{Findings: AnalyzeFile(t.Files[i]).Findings}).MinSeverity(minSev).Findings
+		if fileDone != nil {
+			fileDone(i, perFile[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{}
-	for _, f := range t.Files {
-		rep.Findings = append(rep.Findings, AnalyzeFile(f).Findings...)
+	for _, kept := range perFile {
+		rep.Findings = append(rep.Findings, kept...)
 	}
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
 		a, b := rep.Findings[i], rep.Findings[j]
@@ -297,7 +321,7 @@ func Collect(t *metrics.Tree) *Report {
 		}
 		return a.Message < b.Message
 	})
-	return rep
+	return rep, nil
 }
 
 // Total returns the finding count.

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/store/query"
 	"repro/pkg/api"
 )
 
@@ -25,17 +24,18 @@ type Config struct {
 	// HealthInterval spaces the active /healthz probes per backend;
 	// <= 0 uses 2 seconds.
 	HealthInterval time.Duration
-	// FailThreshold is how many consecutive probe failures eject a backend
-	// from the ring; <= 0 uses 2. One probe success re-admits it.
-	FailThreshold int
 	// MaxBodyBytes caps a request body (the router buffers the body to
-	// extract the routing key); <= 0 uses the daemon's 32 MiB default.
+	// extract the shard key); <= 0 uses the daemon's 32 MiB default.
 	MaxBodyBytes int64
 }
 
 // DefaultHealthInterval spaces active backend probes when
 // Config.HealthInterval is unset.
 const DefaultHealthInterval = 2 * time.Second
+
+// failThreshold is how many consecutive probe failures eject a backend from
+// the ring. One probe success re-admits it.
+const failThreshold = 2
 
 // backend is one fleet member and its live accounting.
 type backend struct {
@@ -73,9 +73,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = DefaultHealthInterval
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 2
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
@@ -115,7 +112,7 @@ func (rt *Router) Close() {
 }
 
 // healthLoop actively probes one backend. A backend that fails
-// FailThreshold consecutive probes is ejected (its keys slide to the ring
+// failThreshold consecutive probes is ejected (its keys slide to the ring
 // successor); a single success re-admits it — recovery should be fast,
 // ejection deliberate.
 func (rt *Router) healthLoop(b *backend) {
@@ -139,7 +136,7 @@ func (rt *Router) probeOnce(b *backend) {
 		resp.Body.Close()
 	}
 	if err != nil || resp.StatusCode != http.StatusOK {
-		if b.fails.Add(1) >= int64(rt.cfg.FailThreshold) {
+		if b.fails.Add(1) >= failThreshold {
 			b.healthy.Store(false)
 		}
 		return
@@ -149,13 +146,18 @@ func (rt *Router) probeOnce(b *backend) {
 }
 
 // Handler mounts the router's routes: its own health and metrics, the
-// reload broadcast, and the keyed proxy for every analysis endpoint.
+// reload broadcast, and the keyed proxy for every analysis route of the
+// wire contract (api.ShardKeys).
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.handleHealth)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	mux.HandleFunc("POST /v1/models/reload", rt.handleReload)
-	mux.HandleFunc("POST /v1/", rt.handleProxy)
+	for path, shardKey := range api.ShardKeys() {
+		mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
+			rt.proxy(w, r, shardKey)
+		})
+	}
 	return mux
 }
 
@@ -256,91 +258,19 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	w.Write(firstBody)
 }
 
-// routeKey extracts the shard key for one endpoint from the buffered
-// request body. The key is the repository identity — whatever names the
-// state the request touches — so every request about one repo converges
-// on one backend:
+// proxy routes one analysis request: buffer the body (bounded), take its
+// shard key, walk the ring from the key's home backend, and stream the
+// first reachable backend's response back verbatim. Backend application
+// errors (429, 504, 409, 4xx) are forwarded, not retried — they are the
+// contract. Only transport failures fail over, and a backend that fails a
+// proxied request is ejected immediately rather than waiting for the probe
+// loop to notice.
 //
-//	/v1/delta            repo_id (the session registry is shard-local)
-//	/v1/compare          the new tree's name (the gate's subject)
-//	/v1/query            the repo = "..." equality in the filter
-//	everything else      the tree's name
-//
-// A query without a top-level repo equality cannot be routed — runs for
-// different repos live in different shard-local -db stores — and answers
-// 400 rather than silently returning one shard's partial view.
-func routeKey(path string, body []byte) (string, error) {
-	var probe struct {
-		RepoID string `json:"repo_id"`
-		Tree   struct {
-			Name string `json:"name"`
-		} `json:"tree"`
-		New struct {
-			Name string `json:"name"`
-		} `json:"new"`
-		Query string `json:"query"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return "", fmt.Errorf("decode request: %w", err)
-	}
-	switch path {
-	case "/v1/delta":
-		if probe.RepoID == "" {
-			return "", errors.New("repo_id is required")
-		}
-		return "repo:" + probe.RepoID, nil
-	case "/v1/compare":
-		return "tree:" + probe.New.Name, nil
-	case "/v1/query":
-		repo, err := repoFromQuery(probe.Query)
-		if err != nil {
-			return "", err
-		}
-		return "tree:" + repo, nil
-	default:
-		return "tree:" + probe.Tree.Name, nil
-	}
-}
-
-// repoFromQuery finds the repo = "..." equality in the top-level AND chain
-// of a parsed query. Equality under OR or NOT does not pin the query to
-// one repo, so only the AND spine counts.
-func repoFromQuery(src string) (string, error) {
-	q, err := query.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	var find func(e query.Expr) (string, bool)
-	find = func(e query.Expr) (string, bool) {
-		switch n := e.(type) {
-		case *query.And:
-			if repo, ok := find(n.L); ok {
-				return repo, true
-			}
-			return find(n.R)
-		case *query.Cmp:
-			if n.Field == query.FieldRepo && n.Op == query.OpEq && !n.Val.IsNum {
-				return n.Val.Str, true
-			}
-		}
-		return "", false
-	}
-	if q.Where != nil {
-		if repo, ok := find(q.Where); ok {
-			return repo, nil
-		}
-	}
-	return "", errors.New(`fleet query needs a repo = "..." filter to pick its shard (history is shard-local)`)
-}
-
-// handleProxy routes one analysis request: buffer the body (bounded),
-// extract the shard key, walk the ring from the key's home backend, and
-// stream the first reachable backend's response back verbatim. Backend
-// application errors (429, 504, 409, 4xx) are forwarded, not retried —
-// they are the contract. Only transport failures fail over, and a backend
-// that fails a proxied request is ejected immediately rather than waiting
-// for the probe loop to notice.
-func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
+// The key is the repository identity the request's api type declares
+// (api.Keyed), so every request about one repository converges on one
+// backend, where its delta session and -db history live. A request that
+// names no repository answers 400 rather than guessing a shard.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shardKey func(body []byte) (string, error)) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
@@ -352,7 +282,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
-	key, err := routeKey(r.URL.Path, body)
+	key, err := shardKey(body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return

@@ -68,9 +68,10 @@ func TestRingConsistency(t *testing.T) {
 	}
 }
 
-// TestRouteKey pins the shard key per endpoint, including the failure
-// modes that must answer 400 instead of guessing a shard.
+// TestRouteKey pins the shard key per route, including the failure modes
+// that must answer 400 instead of guessing a shard.
 func TestRouteKey(t *testing.T) {
+	keys := api.ShardKeys()
 	cases := []struct {
 		path, body, want, wantErr string
 	}{
@@ -79,6 +80,9 @@ func TestRouteKey(t *testing.T) {
 		{"/v1/delta", `{"repo_id":"app","changeset":{}}`, "repo:app", ""},
 		{"/v1/delta", `{"changeset":{}}`, "", "repo_id is required"},
 		{"/v1/compare", `{"old":{"name":"x"},"new":{"name":"y"}}`, "tree:y", ""},
+		// An unnamed tree keys under the subject the daemon records it as.
+		{"/v1/rank", `{"tree":{"files":[]}}`, "tree:tree", ""},
+		{"/v1/compare", `{"old":{"name":"x"},"new":{}}`, "tree:tree", ""},
 		{"/v1/query", `{"query":"repo = \"web\" and score > 0.5"}`, "tree:web", ""},
 		{"/v1/query", `{"query":"score > 0.5 and repo = \"web\""}`, "tree:web", ""},
 		{"/v1/query", `{"query":"score > 0.5"}`, "", "needs a repo"},
@@ -88,7 +92,7 @@ func TestRouteKey(t *testing.T) {
 		{"/v1/score", `{bad json`, "", "decode request"},
 	}
 	for _, c := range cases {
-		got, err := routeKey(c.path, []byte(c.body))
+		got, err := keys[c.path]([]byte(c.body))
 		if c.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 				t.Errorf("routeKey(%s, %s) err = %v, want containing %q", c.path, c.body, err, c.wantErr)
@@ -275,7 +279,7 @@ func TestProxyFailsOverOnTransportError(t *testing.T) {
 }
 
 // TestHealthProbeEjectsAndReadmits: a backend that starts failing probes
-// is ejected after FailThreshold consecutive failures and re-admitted
+// is ejected after failThreshold consecutive failures and re-admitted
 // after one success.
 func TestHealthProbeEjectsAndReadmits(t *testing.T) {
 	var down atomic.Bool
@@ -291,7 +295,6 @@ func TestHealthProbeEjectsAndReadmits(t *testing.T) {
 	rt, _ := newTestRouter(t, Config{
 		Backends:       []string{b.URL},
 		HealthInterval: 5 * time.Millisecond,
-		FailThreshold:  2,
 	})
 	be := rt.backends[0]
 
@@ -348,6 +351,10 @@ func TestProxyRequestValidation(t *testing.T) {
 	resp, body = post(t, ts.URL+"/v1/query", `{"query":"score > 0"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unrouteable query: status %d %s, want 400", resp.StatusCode, body)
+	}
+	resp, body = post(t, ts.URL+"/v1/bogus", `{}`)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("undeclared route: status %d %s, want 404", resp.StatusCode, body)
 	}
 }
 

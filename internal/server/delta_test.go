@@ -39,6 +39,20 @@ func postDelta(t *testing.T, url string, req api.DeltaRequest) (*http.Response, 
 	return resp, out, we
 }
 
+// coldScore scores a whole tree through /v1/score.
+func coldScore(t *testing.T, url string, tree api.Tree) api.ScoreResponse {
+	t.Helper()
+	resp, data := postJSON(t, url+"/v1/score", api.ScoreRequest{Tree: tree})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold score %s: status %d: %s", tree.Name, resp.StatusCode, data)
+	}
+	var out api.ScoreResponse
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // assertFeatureParity requires bit-identical vectors, feature by feature.
 func assertFeatureParity(t *testing.T, want, got metrics.FeatureVector) {
 	t.Helper()
@@ -51,8 +65,10 @@ func assertFeatureParity(t *testing.T, want, got metrics.FeatureVector) {
 
 // TestDeltaSeedThenIncrementalParity drives the endpoint's contract: a
 // seeding changeset scores without a comparison, a follow-up modification
-// produces one, and after both the session's vector is bit-identical to a
-// cold /v1/analyze of the full current tree.
+// produces one, both reports and the comparison are byte-identical to cold
+// /v1/score and /v1/compare of the full trees, and after both the
+// session's vector is bit-identical to a cold /v1/analyze of the full
+// current tree.
 func TestDeltaSeedThenIncrementalParity(t *testing.T) {
 	mA, _ := getModels(t)
 	reg := NewRegistry("", nil)
@@ -69,6 +85,12 @@ func TestDeltaSeedThenIncrementalParity(t *testing.T) {
 	}
 	if out.Diagnostics == nil || len(out.Diagnostics.Files) != 4 {
 		t.Fatalf("seed diagnostics should cover all 4 files: %+v", out.Diagnostics)
+	}
+	// The seed's report is byte-identical to a cold /v1/score of the same
+	// tree under the delta endpoint's subject name.
+	seedTree := api.Tree{Name: "repo-a@1", Files: deltaTree(4)}
+	if got, want := canon(t, out.Report), canon(t, coldScore(t, ts.URL, seedTree).Report); got != want {
+		t.Fatalf("seed report differs from cold score:\n%s\nvs\n%s", got, want)
 	}
 
 	// One modification, one removal, one addition in a single changeset.
@@ -95,6 +117,24 @@ func TestDeltaSeedThenIncrementalParity(t *testing.T) {
 		{Path: "src/f02.mc", Content: miniSource(2)},
 		{Path: "src/new.mc", Content: miniSource(88)},
 	}}
+	// The incremental report and comparison are byte-identical to cold
+	// /v1/score and /v1/compare over the full trees: the incremental path
+	// changes the cost, never the bytes.
+	changed := api.Tree{Name: "repo-a@2", Files: final.Files}
+	if got, want := canon(t, out.Report), canon(t, coldScore(t, ts.URL, changed).Report); got != want {
+		t.Fatalf("change report differs from cold score:\n%s\nvs\n%s", got, want)
+	}
+	cresp, cdata := postJSON(t, ts.URL+"/v1/compare", api.CompareRequest{Old: seedTree, New: changed})
+	if cresp.StatusCode != http.StatusOK {
+		t.Fatalf("compare: status %d: %s", cresp.StatusCode, cdata)
+	}
+	var coldCmp api.CompareResponse
+	if err := json.Unmarshal(cdata, &coldCmp); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canon(t, out.Comparison), canon(t, coldCmp.Comparison); got != want {
+		t.Fatalf("change comparison differs from cold compare:\n%s\nvs\n%s", got, want)
+	}
 	aresp, adata := postJSON(t, ts.URL+"/v1/analyze", api.AnalyzeRequest{Tree: final})
 	if aresp.StatusCode != http.StatusOK {
 		t.Fatalf("analyze: status %d: %s", aresp.StatusCode, adata)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -156,4 +157,32 @@ func sampleValue(text, prefix string) (float64, bool) {
 		return v, true
 	}
 	return 0, false
+}
+
+// failingWriter is a ResponseWriter whose body writes always fail — the
+// deterministic stand-in for a client that hung up after the header.
+type failingWriter struct{ header http.Header }
+
+func (f *failingWriter) Header() http.Header       { return f.header }
+func (f *failingWriter) WriteHeader(int)           {}
+func (f *failingWriter) Write([]byte) (int, error) { return 0, errors.New("client went away") }
+
+// TestWriteJSONCountsFailedWrites: an encode that dies mid-body must move
+// secmetricd_response_write_errors_total instead of vanishing.
+func TestWriteJSONCountsFailedWrites(t *testing.T) {
+	reg := NewRegistry("", nil)
+	s := New(reg, Config{})
+	if got := s.tel.writeErrors.Load(); got != 0 {
+		t.Fatalf("fresh server has %d write errors", got)
+	}
+	s.writeJSON(&failingWriter{header: http.Header{}}, http.StatusOK, map[string]string{"k": "v"})
+	s.writeJSON(&failingWriter{header: http.Header{}}, http.StatusOK, map[string]string{"k": "v"})
+	if got := s.tel.writeErrors.Load(); got != 2 {
+		t.Fatalf("write errors = %d, want 2", got)
+	}
+	var sb strings.Builder
+	s.tel.write(&sb)
+	if !strings.Contains(sb.String(), "secmetricd_response_write_errors_total 2") {
+		t.Errorf("exposition missing the write-error count:\n%s", sb.String())
+	}
 }

@@ -39,9 +39,6 @@ type telemetry struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointStats
 	phases    map[string]*phaseStats
-	// coalesced counts whole requests answered from a concurrent leader's
-	// execution, per endpoint (the request-level half of coalesced_total).
-	coalesced map[string]uint64
 
 	inFlight  atomic.Int64
 	queued    atomic.Int64
@@ -59,7 +56,6 @@ func newTelemetry() *telemetry {
 	return &telemetry{
 		endpoints: map[string]*endpointStats{},
 		phases:    map[string]*phaseStats{},
-		coalesced: map[string]uint64{},
 	}
 }
 
@@ -84,26 +80,6 @@ func (t *telemetry) observeService(seconds float64) {
 // before any request completed.
 func (t *telemetry) recentServiceSeconds() float64 {
 	return math.Float64frombits(t.serviceEWMA.Load())
-}
-
-// observeCoalesced counts one request answered by adoption.
-func (t *telemetry) observeCoalesced(endpoint string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.coalesced[endpoint]++
-}
-
-// coalescedSnapshot copies the per-endpoint request-coalescing counters
-// for the exposition (the server merges them with the file-level count
-// into one family).
-func (t *telemetry) coalescedSnapshot() map[string]uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]uint64, len(t.coalesced))
-	for k, v := range t.coalesced {
-		out[k] = v
-	}
-	return out
 }
 
 // observePhases folds one finished request's per-phase busy totals into the

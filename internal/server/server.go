@@ -42,7 +42,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/metrics"
 	"repro/internal/store/findex"
-	"repro/internal/store/query"
 	"repro/internal/trace"
 	"repro/pkg/api"
 )
@@ -85,10 +84,6 @@ type Config struct {
 	// requests into and serves POST /v1/query from; nil disables both
 	// (queries answer 404 no_history). The server does not close it.
 	History *findex.Store
-	// StreamHeartbeat is the idle interval between keepalive records on
-	// the NDJSON streaming endpoints; <= 0 uses 10 seconds. Tests shrink
-	// it to observe heartbeats without a genuinely slow analysis.
-	StreamHeartbeat time.Duration
 }
 
 // Session-registry defaults applied when Config leaves them unset.
@@ -102,9 +97,9 @@ const (
 // tree, far below anything that could OOM the process.
 const DefaultMaxBodyBytes = 32 << 20
 
-// DefaultStreamHeartbeat is the keepalive interval of the streaming
-// endpoints when Config.StreamHeartbeat is unset.
-const DefaultStreamHeartbeat = 10 * time.Second
+// streamHeartbeat is the idle interval between keepalive records on the
+// NDJSON streaming endpoints.
+const streamHeartbeat = 10 * time.Second
 
 // Server is the HTTP daemon. Construct with New, mount Handler.
 type Server struct {
@@ -120,8 +115,10 @@ type Server struct {
 	// flight dedups identical in-flight per-file deep analyses across every
 	// concurrent request and delta session of this server.
 	flight *core.ExtractFlight
-	// coalesced dedups identical whole requests on /v1/score and /v1/rank.
-	coalesced *coalescer
+
+	// heartbeat is the streams' keepalive interval: streamHeartbeat, which
+	// tests shrink to observe heartbeats without a slow analysis.
+	heartbeat time.Duration
 
 	// logWriteErrOnce gates the single log line behind the response-write
 	// error counter.
@@ -160,9 +157,6 @@ func New(reg *Registry, cfg Config) *Server {
 	if cfg.SessionTTL <= 0 {
 		cfg.SessionTTL = DefaultSessionTTL
 	}
-	if cfg.StreamHeartbeat <= 0 {
-		cfg.StreamHeartbeat = DefaultStreamHeartbeat
-	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = featcache.NewMemory()
@@ -177,7 +171,7 @@ func New(reg *Registry, cfg Config) *Server {
 		slots:     cfg.Workers,
 		start:     time.Now(),
 		flight:    flight,
-		coalesced: newCoalescer(),
+		heartbeat: streamHeartbeat,
 		// Delta sessions extract with the same pool width, per-file
 		// deadline, shared cache, and shared flight as the batch endpoints,
 		// so the incremental and cold paths produce byte-identical vectors
@@ -192,21 +186,16 @@ func New(reg *Registry, cfg Config) *Server {
 	}
 }
 
-// Handler mounts the daemon's routes.
+// Handler mounts the daemon's routes: the operational endpoints and every
+// analysis endpoint of the endpoints table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealth))
 	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("POST /v1/score", s.instrument("score", s.handleScore))
-	mux.HandleFunc("POST /v1/analyze", s.instrument("analyze", s.handleAnalyze))
-	mux.HandleFunc("POST /v1/analyze/stream", s.instrument("analyze_stream", s.handleAnalyzeStream))
-	mux.HandleFunc("POST /v1/findings", s.instrument("findings", s.handleFindings))
-	mux.HandleFunc("POST /v1/findings/stream", s.instrument("findings_stream", s.handleFindingsStream))
-	mux.HandleFunc("POST /v1/compare", s.instrument("compare", s.handleCompare))
-	mux.HandleFunc("POST /v1/delta", s.instrument("delta", s.handleDelta))
-	mux.HandleFunc("POST /v1/rank", s.instrument("rank", s.handleRank))
-	mux.HandleFunc("POST /v1/query", s.instrument("query", s.handleQuery))
 	mux.HandleFunc("POST /v1/models/reload", s.instrument("reload", s.handleReload))
+	for _, e := range endpoints {
+		e.mount(s, mux)
+	}
 	return mux
 }
 
@@ -287,10 +276,44 @@ func (s *Server) requestTimeout(timeoutMS int64) time.Duration {
 	return d
 }
 
+// reqError is a request failure with its own HTTP status and stable code.
+type reqError struct {
+	status int
+	code   string
+	msg    string
+}
+
+func (e *reqError) Error() string { return e.msg }
+
+func badRequest(msg string) error {
+	return &reqError{http.StatusBadRequest, api.CodeBadRequest, msg}
+}
+
+// errorCode classifies a failure: a *reqError carries its own status and
+// code, an expired or canceled context is a 504 deadline, anything else is
+// a 500.
+func errorCode(err error) (int, string) {
+	var re *reqError
+	switch {
+	case errors.As(err, &re):
+		return re.status, re.code
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout, api.CodeDeadline
+	default:
+		return http.StatusInternalServerError, api.CodeInternal
+	}
+}
+
+// writeError answers err with the status and code errorCode assigns it.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
+	status, code := errorCode(err)
+	s.writeErr(w, status, code, err.Error())
+}
+
 // withSlot runs fn under the admission discipline: queue-depth check (429
 // on overflow), bounded worker pool, per-request deadline (504 on expiry,
 // whether it hits while waiting for a slot or mid-analysis). fn gets the
-// deadline-bearing context and must return the analysis error, if any.
+// deadline-bearing context; an error it returns is answered by writeError.
 //
 // Every admitted request runs under a root span whose context fn receives,
 // so the library's extraction spans attach to it; when the request
@@ -339,11 +362,7 @@ func (s *Server) withSlot(w http.ResponseWriter, r *http.Request, endpoint strin
 	}
 	t0 := time.Now()
 	if err := fn(trace.ContextWithSpan(ctx, tr.Root())); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.writeErr(w, http.StatusGatewayTimeout, api.CodeDeadline, err.Error())
-			return
-		}
-		s.writeErr(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
+		s.writeError(w, err)
 		return
 	}
 	// Successful service times feed the EWMA behind Retry-After: the hint
@@ -378,14 +397,9 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // analyze runs the full extraction pipeline for one request against the
-// shared feature cache and in-flight dedup table.
-func (s *Server) analyze(ctx context.Context, tree *metrics.Tree) (secmetric.FeatureVector, *secmetric.AnalysisDiagnostics, error) {
-	return s.analyzeWith(ctx, tree, nil)
-}
-
-// analyzeWith is analyze plus a per-file completion callback (the
-// streaming endpoints' record source; nil for the batch endpoints).
-func (s *Server) analyzeWith(ctx context.Context, tree *metrics.Tree, fileDone func(i int, d core.FileDiagnostic)) (secmetric.FeatureVector, *secmetric.AnalysisDiagnostics, error) {
+// shared feature cache and in-flight dedup table. fileDone, when non-nil,
+// sees each file's diagnostic as it completes.
+func (s *Server) analyze(ctx context.Context, tree *metrics.Tree, fileDone func(i int, d core.FileDiagnostic)) (secmetric.FeatureVector, *secmetric.AnalysisDiagnostics, error) {
 	return core.ExtractFeaturesDiagnostics(ctx, tree, core.ExtractConfig{
 		Jobs:        s.cfg.AnalyzeJobs,
 		Cache:       s.cache,
@@ -398,12 +412,10 @@ func (s *Server) analyzeWith(ctx context.Context, tree *metrics.Tree, fileDone f
 // toTree converts a wire tree to the analyzer's representation, applying
 // the same discipline as the CLI's directory loader: languages inferred
 // from extensions, dot-files and unrecognized extensions skipped, files
-// sorted by path. An empty result (nothing analyzable) is an error.
+// sorted by path. An empty result (nothing analyzable) is an error. The
+// tree is named by its subject, the name the shard router keys it under.
 func toTree(t api.Tree) (*metrics.Tree, error) {
-	name := t.Name
-	if name == "" {
-		name = "tree"
-	}
+	name := t.Subject()
 	out := &metrics.Tree{Name: name}
 	for _, f := range t.Files {
 		if f.Path == "" {
@@ -435,21 +447,19 @@ func toTree(t api.Tree) (*metrics.Tree, error) {
 // the decoder surfaces *http.MaxBytesError the moment the reader passes
 // the limit, so a hostile client can stream gigabytes and the daemon still
 // buffers at most MaxBodyBytes of it.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.writeErr(w, http.StatusRequestEntityTooLarge, api.CodeBodyTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-			return false
+			return &reqError{http.StatusRequestEntityTooLarge, api.CodeBodyTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)}
 		}
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "decode request: "+err.Error())
-		return false
+		return badRequest("decode request: " + err.Error())
 	}
-	return true
+	return nil
 }
 
 // record persists one scoring request into the findings history, keyed by
@@ -473,222 +483,6 @@ func (s *Server) record(ctx context.Context, source string, tree *metrics.Tree, 
 		return
 	}
 	s.historyRuns.Add(1)
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req api.QueryRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	// Parse before admission: a syntax error should cost no worker slot.
-	q, err := query.Parse(req.Query)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	if s.cfg.History == nil {
-		s.writeErr(w, http.StatusNotFound, api.CodeNoHistory,
-			"this daemon records no history; start it with -db to enable /v1/query")
-		return
-	}
-	s.withSlot(w, r, "query", req.TimeoutMS, func(ctx context.Context) error {
-		runs, ex, err := s.cfg.History.Query(q, findex.Options{ForceFullScan: req.FullScan})
-		if err != nil {
-			return err
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		s.writeJSON(w, http.StatusOK, api.QueryResponse{
-			Runs: runs,
-			Explain: api.QueryExplain{
-				Index:      ex.Index,
-				FullScan:   ex.FullScan,
-				Candidates: ex.Candidates,
-				Matched:    ex.Matched,
-			},
-		})
-		return nil
-	})
-}
-
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	var req api.ScoreRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	model, name, ok := s.reg.Snapshot().Get(req.Model)
-	if !ok {
-		s.writeErr(w, http.StatusNotFound, api.CodeUnknownModel, fmt.Sprintf("unknown model %q", req.Model))
-		return
-	}
-	run := func(w http.ResponseWriter) {
-		s.withSlot(w, r, "score", req.TimeoutMS, func(ctx context.Context) error {
-			fv, diag, err := s.analyze(ctx, tree)
-			if err != nil {
-				return err
-			}
-			sc := trace.SpanFromContext(ctx).Child("score")
-			rep := model.Score(req.Tree.Name, fv)
-			sc.End()
-			s.record(ctx, "score", tree, rep.RiskScore, true)
-			if req.Trace && diag != nil {
-				diag.Trace = trace.Summarize(trace.SpanFromContext(ctx))
-			}
-			s.writeJSON(w, http.StatusOK, api.ScoreResponse{
-				Model:       name,
-				Report:      rep,
-				Diagnostics: diag,
-			})
-			return nil
-		})
-	}
-	if req.Trace {
-		// A trace is this execution's account; adopting another request's
-		// would be a lie, so traced requests always run themselves.
-		run(w)
-		return
-	}
-	// The key carries the resolved model name, so "model":"" and an explicit
-	// request for the default coalesce together.
-	s.coalesce(w, r, "score", scoreKey(name, req.Tree), req.TimeoutMS, run)
-}
-
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req api.AnalyzeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	s.withSlot(w, r, "analyze", req.TimeoutMS, func(ctx context.Context) error {
-		fv, diag, err := s.analyze(ctx, tree)
-		if err != nil {
-			return err
-		}
-		if req.Trace && diag != nil {
-			diag.Trace = trace.Summarize(trace.SpanFromContext(ctx))
-		}
-		s.writeJSON(w, http.StatusOK, api.AnalyzeResponse{Features: fv, Diagnostics: diag})
-		return nil
-	})
-}
-
-func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
-	var req api.FindingsRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	sev, err := findings.ParseSeverity(req.MinSeverity)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	s.withSlot(w, r, "findings", req.TimeoutMS, func(ctx context.Context) error {
-		cs := trace.SpanFromContext(ctx).Child("collect")
-		rep := secmetric.CollectFindings(tree).MinSeverity(sev)
-		cs.End()
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		s.writeJSON(w, http.StatusOK, api.FindingsResponse{Report: rep})
-		return nil
-	})
-}
-
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	var req api.RankRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if req.Top < 0 {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "top must be >= 0")
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	run := func(w http.ResponseWriter) {
-		s.withSlot(w, r, "rank", req.TimeoutMS, func(ctx context.Context) error {
-			ranking, err := secmetric.RankTree(ctx, tree, secmetric.RankConfig{
-				Jobs: s.cfg.AnalyzeJobs,
-				Top:  req.Top,
-			})
-			if err != nil {
-				return err
-			}
-			s.record(ctx, "rank", tree, 0, false)
-			s.writeJSON(w, http.StatusOK, api.RankResponse{Ranking: ranking})
-			return nil
-		})
-	}
-	s.coalesce(w, r, "rank", rankKey(req.Top, req.Tree), req.TimeoutMS, run)
-}
-
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	var req api.CompareRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	oldTree, err := toTree(req.Old)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "old: "+err.Error())
-		return
-	}
-	newTree, err := toTree(req.New)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "new: "+err.Error())
-		return
-	}
-	model, name, ok := s.reg.Snapshot().Get(req.Model)
-	if !ok {
-		s.writeErr(w, http.StatusNotFound, api.CodeUnknownModel, fmt.Sprintf("unknown model %q", req.Model))
-		return
-	}
-	s.withSlot(w, r, "compare", req.TimeoutMS, func(ctx context.Context) error {
-		// Both versions run inside one slot against the shared cache, so
-		// only the files the change touched are deep-analyzed twice.
-		oldFV, oldDiag, err := s.analyze(ctx, oldTree)
-		if err != nil {
-			return err
-		}
-		newFV, newDiag, err := s.analyze(ctx, newTree)
-		if err != nil {
-			return err
-		}
-		cs := trace.SpanFromContext(ctx).Child("score")
-		cmp := model.Compare(req.Old.Name, oldFV, req.New.Name, newFV)
-		cs.End()
-		// History records the new version — the one the gate is deciding on.
-		s.record(ctx, "compare", newTree, cmp.NewScore, true)
-		if req.Trace && newDiag != nil {
-			// One summary covers the whole request (both analyses); it
-			// rides on the new version's diagnostics.
-			newDiag.Trace = trace.Summarize(trace.SpanFromContext(ctx))
-		}
-		s.writeJSON(w, http.StatusOK, api.CompareResponse{
-			Model:          name,
-			Comparison:     cmp,
-			OldDiagnostics: oldDiag,
-			NewDiagnostics: newDiag,
-		})
-		return nil
-	})
 }
 
 // toChangeset converts a wire changeset with the exact per-file
@@ -742,68 +536,6 @@ func toChangeset(cs api.Changeset) (core.Changeset, error) {
 	return out, nil
 }
 
-func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	var req api.DeltaRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if req.RepoID == "" {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "repo_id is required")
-		return
-	}
-	cs, err := toChangeset(req.Changeset)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	model, name, ok := s.reg.Snapshot().Get(req.Model)
-	if !ok {
-		s.writeErr(w, http.StatusNotFound, api.CodeUnknownModel, fmt.Sprintf("unknown model %q", req.Model))
-		return
-	}
-	s.withSlot(w, r, "delta", req.TimeoutMS, func(ctx context.Context) error {
-		t0 := time.Now()
-		sess := s.sessions.acquire(req.RepoID)
-		res, err := sess.Apply(ctx, cs)
-		if err != nil {
-			switch {
-			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-				return err // withSlot turns these into 504
-			case errors.Is(err, core.ErrStaleSession):
-				s.writeErr(w, http.StatusConflict, api.CodeStaleSession, err.Error())
-				return nil
-			default:
-				// Validation problems (empty changeset, duplicate paths,
-				// would-empty) left the session untouched.
-				s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-				return nil
-			}
-		}
-		sc := trace.SpanFromContext(ctx).Child("score")
-		subject := fmt.Sprintf("%s@%d", req.RepoID, res.Seq)
-		rep := model.Score(subject, res.Features)
-		var cmp *secmetric.Comparison
-		if res.OldFeatures != nil {
-			cmp = model.Compare(fmt.Sprintf("%s@%d", req.RepoID, res.Seq-1), res.OldFeatures, subject, res.Features)
-		}
-		sc.End()
-		if req.Trace && res.Diagnostics != nil {
-			res.Diagnostics.Trace = trace.Summarize(trace.SpanFromContext(ctx))
-		}
-		s.writeJSON(w, http.StatusOK, api.DeltaResponse{
-			Model:       name,
-			RepoID:      req.RepoID,
-			Seq:         res.Seq,
-			Files:       res.Files,
-			Report:      rep,
-			Comparison:  cmp,
-			ElapsedMS:   time.Since(t0).Milliseconds(),
-			Diagnostics: res.Diagnostics,
-		})
-		return nil
-	})
-}
-
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.reg.Load()
 	if err != nil {
@@ -841,18 +573,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP secmetricd_featcache_corrupt_total Disk cache entries that failed validation on read (counted, then treated as misses).")
 	fmt.Fprintln(w, "# TYPE secmetricd_featcache_corrupt_total counter")
 	fmt.Fprintf(w, "secmetricd_featcache_corrupt_total %d\n", s.cache.CorruptReads())
-	fmt.Fprintln(w, "# HELP secmetricd_coalesced_total Work answered by adopting a concurrent identical execution: kind=\"file\" is per-file deep analyses, kind=\"request\" is whole /v1/score and /v1/rank requests.")
+	fmt.Fprintln(w, "# HELP secmetricd_coalesced_total Work answered by adopting a concurrent identical execution: kind=\"file\" is per-file deep analyses.")
 	fmt.Fprintln(w, "# TYPE secmetricd_coalesced_total counter")
 	fmt.Fprintf(w, "secmetricd_coalesced_total{kind=\"file\"} %d\n", s.flight.Coalesced())
-	creq := s.tel.coalescedSnapshot()
-	eps := make([]string, 0, len(creq))
-	for ep := range creq {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	for _, ep := range eps {
-		fmt.Fprintf(w, "secmetricd_coalesced_total{kind=\"request\",endpoint=%q} %d\n", ep, creq[ep])
-	}
 	fmt.Fprintln(w, "# HELP secmetricd_models_loaded Models in the current registry snapshot.")
 	fmt.Fprintln(w, "# TYPE secmetricd_models_loaded gauge")
 	fmt.Fprintf(w, "secmetricd_models_loaded %d\n", len(s.reg.Snapshot().Models))

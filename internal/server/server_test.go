@@ -403,6 +403,36 @@ func TestQueueOverflowReturns429(t *testing.T) {
 	}
 }
 
+// TestRetryAfterDerivation pins the hint's bounds: always >= 1, never
+// above 30, and scaling with backlog times observed service time.
+func TestRetryAfterDerivation(t *testing.T) {
+	reg := NewRegistry("", nil)
+	s := New(reg, Config{Workers: 2})
+
+	if got := s.retryAfterSeconds(); got < 1 || got > 30 {
+		t.Fatalf("idle hint %d outside [1,30]", got)
+	}
+	// Backlog of 20 at ~2s each over 2 slots ≈ 20s estimate; jitter may
+	// push it up but never past the cap.
+	s.tel.observeService(2.0)
+	s.tel.queued.Store(20)
+	for i := 0; i < 50; i++ {
+		got := s.retryAfterSeconds()
+		if got < 20 || got > 30 {
+			t.Fatalf("loaded hint %d outside [20,30]", got)
+		}
+	}
+	// Saturated estimate clamps to 30 regardless of jitter.
+	s.tel.observeService(60)
+	s.tel.observeService(60)
+	s.tel.queued.Store(100)
+	for i := 0; i < 20; i++ {
+		if got := s.retryAfterSeconds(); got != 30 {
+			t.Fatalf("saturated hint %d, want 30", got)
+		}
+	}
+}
+
 // TestDeadlineReturns504 pins a request deadline below the time the test
 // hook stalls, asserting the daemon reports 504 and keeps serving.
 func TestDeadlineReturns504(t *testing.T) {
@@ -468,6 +498,19 @@ func TestRequestValidation(t *testing.T) {
 	}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("duplicate paths: status %d: %s", resp.StatusCode, data)
+	}
+}
+
+// TestEveryRouteIsMounted: the daemon serves every route the shard router
+// forwards, so no path the router accepts falls through to the mux's 404.
+func TestEveryRouteIsMounted(t *testing.T) {
+	_, ts := newTestServer(t, NewRegistry("", nil), Config{Workers: 1})
+	for path := range api.ShardKeys() {
+		resp, data := postJSON(t, ts.URL+path, struct{}{})
+		var we api.Error
+		if err := json.Unmarshal(data, &we); err != nil || we.Code == "" {
+			t.Errorf("%s: status %d body %q is not an endpoint's answer", path, resp.StatusCode, data)
+		}
 	}
 }
 
@@ -558,6 +601,7 @@ func TestMetricsExposition(t *testing.T) {
 		`secmetricd_rejected_total{reason="queue_full"} 0`,
 		"secmetricd_featcache_hits_total",
 		"secmetricd_featcache_misses_total",
+		`secmetricd_coalesced_total{kind="file"}`,
 		"secmetricd_models_loaded 1",
 		"secmetricd_uptime_seconds",
 	} {

@@ -1,18 +1,12 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/findings"
-	"repro/internal/metrics"
-	"repro/internal/trace"
 	"repro/pkg/api"
 )
 
@@ -50,7 +44,7 @@ func (s *Server) startStream(w http.ResponseWriter) *streamWriter {
 		done: make(chan struct{}),
 	}
 	sw.flushLocked()
-	go sw.heartbeatLoop(s.cfg.StreamHeartbeat)
+	go sw.heartbeatLoop(s.heartbeat)
 	return sw
 }
 
@@ -93,10 +87,7 @@ func (sw *streamWriter) flushLocked() {
 // sendError converts a mid-stream failure into the trailing error record —
 // the status line is long gone, so this is the only honest channel left.
 func (sw *streamWriter) sendError(err error) {
-	code := api.CodeInternal
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		code = api.CodeDeadline
-	}
+	_, code := errorCode(err)
 	sw.send(api.StreamRecord{Type: api.StreamTypeError, Err: &api.Error{Code: code, Error: err.Error()}})
 }
 
@@ -105,114 +96,4 @@ func (sw *streamWriter) sendError(err error) {
 func (sw *streamWriter) end() {
 	close(sw.quit)
 	<-sw.done
-}
-
-// handleAnalyzeStream is POST /v1/analyze/stream: the batch /v1/analyze
-// pipeline with per-file completion records pushed as the worker pool
-// finishes each file. Record content is deterministic in the tree bytes;
-// only arrival order is scheduling-dependent. The final summary record
-// carries exactly the AnalyzeResponse the batch endpoint would return.
-func (s *Server) handleAnalyzeStream(w http.ResponseWriter, r *http.Request) {
-	var req api.AnalyzeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	s.withSlot(w, r, "analyze_stream", req.TimeoutMS, func(ctx context.Context) error {
-		// Admission rejections (429/504 above) answered as plain JSON; from
-		// here on the stream owns the response.
-		sw := s.startStream(w)
-		defer sw.end()
-		fv, diag, err := s.analyzeWith(ctx, tree, func(i int, d core.FileDiagnostic) {
-			sw.send(api.StreamRecord{Type: api.StreamTypeFile, File: &api.StreamFile{
-				Path:   d.Path,
-				Status: string(d.Status),
-				Detail: d.Detail,
-			}})
-		})
-		if err != nil {
-			sw.sendError(err)
-			return nil // answered on-stream; withSlot must not write again
-		}
-		if req.Trace && diag != nil {
-			diag.Trace = trace.Summarize(trace.SpanFromContext(ctx))
-		}
-		sw.send(api.StreamRecord{Type: api.StreamTypeSummary, Analyze: &api.AnalyzeResponse{
-			Features:    fv,
-			Diagnostics: diag,
-		}})
-		return nil
-	})
-}
-
-// handleFindingsStream is POST /v1/findings/stream: per-file findings
-// pushed as each file's producers finish, then a summary carrying the
-// batch report. Each record's findings are already severity-filtered and
-// sorted; concatenating the records in tree (path-sorted) order
-// reproduces the batch report byte-for-byte, because the batch sort key
-// (file, line, rule, message) groups by file first.
-func (s *Server) handleFindingsStream(w http.ResponseWriter, r *http.Request) {
-	var req api.FindingsRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	tree, err := toTree(req.Tree)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	sev, err := findings.ParseSeverity(req.MinSeverity)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	s.withSlot(w, r, "findings_stream", req.TimeoutMS, func(ctx context.Context) error {
-		sw := s.startStream(w)
-		defer sw.end()
-
-		jobs := s.cfg.AnalyzeJobs
-		if jobs <= 0 {
-			jobs = runtime.GOMAXPROCS(0)
-		}
-		perFile := make([][]findings.Finding, len(tree.Files))
-		sem := make(chan struct{}, jobs)
-		var wg sync.WaitGroup
-		for i, f := range tree.Files {
-			wg.Add(1)
-			go func(i int, f metrics.File) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if ctx.Err() != nil {
-					return
-				}
-				cs := trace.SpanFromContext(ctx).Child("collect")
-				cs.SetLabel(f.Path)
-				fa := findings.AnalyzeFile(f)
-				cs.End()
-				kept := (&findings.Report{Findings: fa.Findings}).MinSeverity(sev).Findings
-				perFile[i] = kept
-				sw.send(api.StreamRecord{Type: api.StreamTypeFile, File: &api.StreamFile{
-					Path:     f.Path,
-					Status:   string(core.StatusOK),
-					Findings: kept,
-				}})
-			}(i, f)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			sw.sendError(err)
-			return nil
-		}
-		rep := &findings.Report{}
-		for _, kept := range perFile {
-			rep.Findings = append(rep.Findings, kept...)
-		}
-		sw.send(api.StreamRecord{Type: api.StreamTypeSummary, Findings: &api.FindingsResponse{Report: rep}})
-		return nil
-	})
 }

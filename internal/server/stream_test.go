@@ -259,7 +259,8 @@ func (l *lockedRecorder) body() string {
 // configured interval, and they stop once the stream ends.
 func TestStreamHeartbeats(t *testing.T) {
 	reg := NewRegistry("", nil)
-	s := New(reg, Config{StreamHeartbeat: 2 * time.Millisecond})
+	s := New(reg, Config{})
+	s.heartbeat = 2 * time.Millisecond
 
 	lr := &lockedRecorder{rec: httptest.NewRecorder()}
 	sw := s.startStream(lr)

@@ -1,10 +1,8 @@
 // Package singleflight coalesces identical in-flight work: when N
 // goroutines ask for the same key concurrently, exactly one (the leader)
 // runs the function and the other N-1 (the followers) adopt its result.
-// This is the fleet-serving dedup primitive behind both layers of request
-// coalescing in secmetricd — per-file deep extraction keyed by the
-// feature-cache content hash, and whole-request coalescing keyed by a
-// canonical tree digest.
+// This is the dedup primitive behind secmetricd's per-file coalescing of
+// deep extraction, keyed by the feature-cache content hash.
 //
 // Unlike golang.org/x/sync/singleflight, Do's wait is context-bounded per
 // follower: a follower whose context expires abandons the wait with the

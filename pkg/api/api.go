@@ -4,9 +4,11 @@
 // /v1/compare, /v1/delta, /v1/rank), the history endpoint (/v1/query,
 // served when the daemon persists runs with -db), the operational
 // endpoints (/healthz, /v1/models/reload),
-// and the error envelope every non-2xx response carries. Both the server
-// (internal/server) and the typed client (pkg/client) build against these
-// types, so the contract lives in exactly one place.
+// and the error envelope every non-2xx response carries. The server
+// (internal/server), the shard router (internal/router), and the typed
+// client (pkg/client) all build against these types and the routes that
+// pair each path with its request type, so the contract lives in exactly
+// one place.
 package api
 
 import (

@@ -123,7 +123,7 @@ func IsNoHistory(err error) bool {
 // Score asks the daemon to analyze and score one tree.
 func (c *Client) Score(ctx context.Context, req api.ScoreRequest) (*api.ScoreResponse, error) {
 	var out api.ScoreResponse
-	if err := c.post(ctx, "/v1/score", req.TimeoutMS, req, &out); err != nil {
+	if err := c.post(ctx, api.ScoreRoute.Path, req.TimeoutMS, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -132,7 +132,7 @@ func (c *Client) Score(ctx context.Context, req api.ScoreRequest) (*api.ScoreRes
 // Analyze asks for the raw code-property vector of one tree.
 func (c *Client) Analyze(ctx context.Context, req api.AnalyzeRequest) (*api.AnalyzeResponse, error) {
 	var out api.AnalyzeResponse
-	if err := c.post(ctx, "/v1/analyze", req.TimeoutMS, req, &out); err != nil {
+	if err := c.post(ctx, api.AnalyzeRoute.Path, req.TimeoutMS, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -141,7 +141,7 @@ func (c *Client) Analyze(ctx context.Context, req api.AnalyzeRequest) (*api.Anal
 // Findings asks for the CWE-mapped findings stream of one tree.
 func (c *Client) Findings(ctx context.Context, req api.FindingsRequest) (*api.FindingsResponse, error) {
 	var out api.FindingsResponse
-	if err := c.post(ctx, "/v1/findings", req.TimeoutMS, req, &out); err != nil {
+	if err := c.post(ctx, api.FindingsRoute.Path, req.TimeoutMS, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -150,7 +150,7 @@ func (c *Client) Findings(ctx context.Context, req api.FindingsRequest) (*api.Fi
 // Compare asks for the risk delta between two versions.
 func (c *Client) Compare(ctx context.Context, req api.CompareRequest) (*api.CompareResponse, error) {
 	var out api.CompareResponse
-	if err := c.post(ctx, "/v1/compare", req.TimeoutMS, req, &out); err != nil {
+	if err := c.post(ctx, api.CompareRoute.Path, req.TimeoutMS, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -161,7 +161,7 @@ func (c *Client) Compare(ctx context.Context, req api.CompareRequest) (*api.Comp
 // should re-seed with a full Added-only changeset and retry.
 func (c *Client) Delta(ctx context.Context, req api.DeltaRequest) (*api.DeltaResponse, error) {
 	var out api.DeltaResponse
-	if err := c.post(ctx, "/v1/delta", req.TimeoutMS, req, &out); err != nil {
+	if err := c.post(ctx, api.DeltaRoute.Path, req.TimeoutMS, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -170,7 +170,7 @@ func (c *Client) Delta(ctx context.Context, req api.DeltaRequest) (*api.DeltaRes
 // Rank asks for the function-level risk ranking of one tree.
 func (c *Client) Rank(ctx context.Context, req api.RankRequest) (*api.RankResponse, error) {
 	var out api.RankResponse
-	if err := c.post(ctx, "/v1/rank", req.TimeoutMS, req, &out); err != nil {
+	if err := c.post(ctx, api.RankRoute.Path, req.TimeoutMS, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -180,7 +180,7 @@ func (c *Client) Rank(ctx context.Context, req api.RankRequest) (*api.RankRespon
 // IsNoHistory distinguishes "daemon keeps no history" from other failures.
 func (c *Client) Query(ctx context.Context, req api.QueryRequest) (*api.QueryResponse, error) {
 	var out api.QueryResponse
-	if err := c.post(ctx, "/v1/query", req.TimeoutMS, req, &out); err != nil {
+	if err := c.post(ctx, api.QueryRoute.Path, req.TimeoutMS, req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -253,12 +253,25 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 	return c.do(req, out)
 }
 
+// maxDrain bounds how much of an unread response tail closeBody reads so
+// the keep-alive connection can be reused; a longer tail costs a re-dial.
+const maxDrain = 4 << 10
+
+// closeBody drains what is left of a response body, up to maxDrain, then
+// closes it. Closing a body before EOF (a JSON decoder stops after the
+// value, short of the trailing newline) drops the connection instead of
+// returning it to the idle pool.
+func closeBody(resp *http.Response) {
+	_, _ = io.CopyN(io.Discard, resp.Body, maxDrain) // a failed drain only costs the re-dial
+	resp.Body.Close()
+}
+
 func (c *Client) do(req *http.Request, out any) error {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var we api.Error
 		if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Error == "" {

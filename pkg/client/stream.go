@@ -39,7 +39,7 @@ func retryAfterSeconds(resp *http.Response) int {
 // Heartbeat records are consumed silently; a trailing error record is
 // surfaced as an *APIError just as a batch failure would be.
 func (c *Client) AnalyzeStream(ctx context.Context, req api.AnalyzeRequest, onFile func(api.StreamFile)) (*api.AnalyzeResponse, error) {
-	rec, err := c.stream(ctx, "/v1/analyze/stream", req.TimeoutMS, req, onFile)
+	rec, err := c.stream(ctx, api.AnalyzeStreamRoute.Path, req.TimeoutMS, req, onFile)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func (c *Client) AnalyzeStream(ctx context.Context, req api.AnalyzeRequest, onFi
 // record carries that file's filtered, sorted findings; the returned
 // summary is exactly the batch Findings response.
 func (c *Client) FindingsStream(ctx context.Context, req api.FindingsRequest, onFile func(api.StreamFile)) (*api.FindingsResponse, error) {
-	rec, err := c.stream(ctx, "/v1/findings/stream", req.TimeoutMS, req, onFile)
+	rec, err := c.stream(ctx, api.FindingsStreamRoute.Path, req.TimeoutMS, req, onFile)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func (c *Client) stream(ctx context.Context, path string, timeoutMS int64, in an
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		// Rejected before the stream began: a plain JSON error envelope.
 		var we api.Error
