@@ -75,15 +75,13 @@ func run(ctx context.Context, args []string) error {
 		return cmdQuery(args[1:])
 	case "image":
 		return cmdImage(ctx, args[1:])
-	case "bench":
-		return cmdBench(args[1:])
 	default:
 		return usage()
 	}
 }
 
 func usage() error {
-	return fmt.Errorf("usage: secmetric {analyze [-diag] [-json] [-trace f] [-slowest N] [-history db] <dir> | score [-model m.json] [-json] <dir> | compare [-model m.json] [-incremental] <old> <new> | focus [-model m.json] [-budget N] <dir> | rank [-top N] [-json] [-explain] [-vcs-seed N] <dir> | findings [-min sev] [-json] [-history db] <dir> | query [-db db] [-explain] [-full-scan] [-json] \"<expr>\" | image [-model m.json] <manifest.json> | bench [-quick] [-rev r] [-out f] [-against baseline.json]} [-jobs N] [-cache dir] [-file-timeout d]")
+	return fmt.Errorf("usage: secmetric {analyze [-diag] [-json] [-trace f] [-slowest N] [-history db] <dir> | score [-model m.json] [-json] <dir> | compare [-model m.json] [-incremental] <old> <new> | focus [-model m.json] [-budget N] <dir> | rank [-top N] [-json] [-explain] [-vcs-seed N] <dir> | findings [-min sev] [-json] [-history db] <dir> | query [-db db] [-explain] [-full-scan] [-json] \"<expr>\" | image [-model m.json] <manifest.json>} [-jobs N] [-cache dir] [-file-timeout d]")
 }
 
 // analyzeOpts registers the shared extraction flags (-jobs, -cache,

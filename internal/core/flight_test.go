@@ -119,6 +119,64 @@ func TestFlightCoalescesConcurrentMisses(t *testing.T) {
 	}
 }
 
+// TestSessionApplyCountsCoalesced: a session changeset whose file adopts a
+// concurrent batch extraction's analysis through the shared flight must
+// count it in Diagnostics.Coalesced, exactly as the batch path does.
+func TestSessionApplyCountsCoalesced(t *testing.T) {
+	spec := langgen.DefaultSpec()
+	spec.Files = 1
+	tree := langgen.Generate(spec)
+
+	flight := NewExtractFlight()
+	started := make(chan struct{})
+	var once sync.Once
+	setHook(t, func(f metrics.File) {
+		// The batch run leads: hold its analysis open until the session
+		// has parked on the flight.
+		once.Do(func() { close(started) })
+		deadline := time.Now().Add(10 * time.Second)
+		for flight.Coalesced() < 1 {
+			if time.Now().After(deadline) {
+				t.Error("session never coalesced")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+
+	cfg := ExtractConfig{Jobs: 1, Flight: flight}
+	batchErr := make(chan error, 1)
+	go func() {
+		_, _, err := ExtractFeaturesDiagnostics(context.Background(), tree, cfg)
+		batchErr <- err
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch extraction never reached the deep analysis")
+	}
+	res, err := NewSession("s", cfg).Apply(context.Background(), Changeset{Added: tree.Files})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-batchErr; err != nil {
+		t.Fatal(err)
+	}
+
+	var coalesced uint64
+	for _, f := range res.Diagnostics.Files {
+		if f.Status == StatusCoalesced {
+			coalesced++
+		}
+	}
+	if coalesced == 0 {
+		t.Fatalf("session files %+v: none coalesced onto the batch leader", res.Diagnostics.Files)
+	}
+	if res.Diagnostics.Coalesced != coalesced {
+		t.Fatalf("Diagnostics.Coalesced = %d, want %d (one per coalesced file)", res.Diagnostics.Coalesced, coalesced)
+	}
+}
+
 // TestFlightSharesDegradationHonestly: a follower adopting a leader whose
 // analysis panicked must report panic-contained, not coalesced — an
 // adopted zero enrichment is still a degradation and must stay visible.

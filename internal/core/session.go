@@ -233,43 +233,22 @@ func (s *Session) Apply(ctx context.Context, cs Changeset) (*ApplyResult, error)
 
 	var ct cacheTraffic
 	results := make([]*sessionFile, len(changed))
-	if len(changed) > 0 {
-		workers := ml.EffectiveJobs(s.cfg.Jobs, len(changed))
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					if ctx.Err() != nil {
-						continue
-					}
-					f := changed[i]
-					fs := ext.ChildAt(i, trace.SpanNameFile)
-					fs.SetLabel(f.Path)
-					fs.Add("bytes", int64(len(f.Content)))
-					sf := &sessionFile{file: f, scan: metrics.ScanFile(f)}
-					sf.lints = lint.CheckFile(f).Total()
-					sf.enr, sf.status, sf.detail = enrichFileCached(ctx, f, s.cfg, &ct, fs)
-					fs.End()
-					results[i] = sf
-				}
-			}()
-		}
-	dispatch:
-		for i := range changed {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	_ = ml.ParallelForCtx(ctx, len(changed), s.cfg.Jobs, func(i int) error {
+		f := changed[i]
+		fs := ext.ChildAt(i, trace.SpanNameFile)
+		fs.SetLabel(f.Path)
+		fs.Add("bytes", int64(len(f.Content)))
+		sf := &sessionFile{file: f, scan: metrics.ScanFile(f)}
+		sf.lints = lint.CheckFile(f).Total()
+		sf.enr, sf.status, sf.detail = enrichFileCached(ctx, f, s.cfg, &ct, fs)
+		fs.End()
+		results[i] = sf
+		return nil
+	})
+	// As in ExtractFeaturesDiagnostics: ctx, not the pool's result, decides
+	// whether the run is discarded.
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	// Commit phase: pure delta bookkeeping, no failure paths.
@@ -303,6 +282,7 @@ func (s *Session) Apply(ctx context.Context, cs Changeset) (*ApplyResult, error)
 		diag.Files[i] = FileDiagnostic{Path: sf.file.Path, Status: sf.status, Detail: sf.detail}
 	}
 	diag.CacheHits, diag.CacheMisses = ct.hits.Load(), ct.misses.Load()
+	diag.Coalesced = ct.coalesced.Load()
 
 	old := s.fv
 	s.fv = fv

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -367,43 +366,23 @@ func ExtractFeaturesDiagnostics(ctx context.Context, tree *metrics.Tree, cfg Ext
 
 	enriched := make([]fileEnrichment, len(tree.Files))
 	diag := &AnalysisDiagnostics{Files: make([]FileDiagnostic, len(tree.Files))}
-	workers := ml.EffectiveJobs(cfg.Jobs, len(tree.Files))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					// Canceled: drain the queue without analyzing; the
-					// run's output is discarded below.
-					continue
-				}
-				f := tree.Files[i]
-				fs := ext.ChildAt(fileSpanSeqBase+i, trace.SpanNameFile)
-				fs.SetLabel(f.Path)
-				fs.Add("bytes", int64(len(f.Content)))
-				enr, status, detail := enrichFileCached(ctx, f, cfg, &ct, fs)
-				fs.End()
-				enriched[i] = enr
-				diag.Files[i] = FileDiagnostic{Path: f.Path, Status: status, Detail: detail}
-				if cfg.FileDone != nil {
-					cfg.FileDone(i, diag.Files[i])
-				}
-			}
-		}()
-	}
-dispatch:
-	for i := range tree.Files {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break dispatch
+	_ = ml.ParallelForCtx(ctx, len(tree.Files), cfg.Jobs, func(i int) error {
+		f := tree.Files[i]
+		fs := ext.ChildAt(fileSpanSeqBase+i, trace.SpanNameFile)
+		fs.SetLabel(f.Path)
+		fs.Add("bytes", int64(len(f.Content)))
+		enr, status, detail := enrichFileCached(ctx, f, cfg, &ct, fs)
+		fs.End()
+		enriched[i] = enr
+		diag.Files[i] = FileDiagnostic{Path: f.Path, Status: status, Detail: detail}
+		if cfg.FileDone != nil {
+			cfg.FileDone(i, diag.Files[i])
 		}
-	}
-	close(jobs)
-	wg.Wait()
+		return nil
+	})
+	// The body never fails, so the pool's only error is ctx's. ctx is
+	// checked here instead, because a single-worker pool reports a run
+	// canceled during its last file as clean, and that run is discarded too.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}

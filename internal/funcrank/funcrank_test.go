@@ -12,7 +12,7 @@ import (
 	"repro/internal/vcsgen"
 )
 
-func vulnappTree(t *testing.T) *metrics.Tree {
+func vulnappTree(t testing.TB) *metrics.Tree {
 	t.Helper()
 	tree, err := metrics.LoadTree("../../examples/vulnapp")
 	if err != nil {
@@ -272,6 +272,29 @@ func TestBins(t *testing.T) {
 	for _, c := range cases {
 		if got := bin(c.score); got != c.bin {
 			t.Errorf("bin(%.1f) = %d, want %d", c.score, got, c.bin)
+		}
+	}
+}
+
+// BenchmarkRank times one single-worker ranking of a 16-file tree of
+// vulnapp replicas: function scan, deep analysis, and LEOPARD binning.
+func BenchmarkRank(b *testing.B) {
+	seed := vulnappTree(b).Files[0]
+	tree := &metrics.Tree{Name: "bench"}
+	for i := 0; i < 16; i++ {
+		f := seed
+		f.Path = fmt.Sprintf("f%02d%s", i, seed.Language.Extension())
+		tree.Files = append(tree.Files, f)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Rank(context.Background(), tree, Config{Jobs: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Functions == 0 {
+			b.Fatal("ranked no functions")
 		}
 	}
 }

@@ -4,7 +4,9 @@
 # trees, the extraction worker pool, the feature cache, and the
 # cancellation/panic-containment paths — is race-checked on every run),
 # and a short native-fuzz smoke over the MiniC parser, the panic source
-# the containment layer most needs to hold against. Ends with the live
+# the containment layer most needs to hold against. The servebench module,
+# which the root module's build never reaches, is vetted and tested on its
+# own. Ends with the live
 # secmetricd drills that need real processes: SIGTERM must drain requests
 # in flight cleanly, and a 3-backend fleet behind the consistent-hash
 # shard router must keep every repository's bytes through a SIGKILLed
@@ -49,14 +51,12 @@ case "$out" in
 	;;
 esac
 
-# Bench smoke: the quick-budget workloads must stay within 25% ns/op of
-# the committed post-optimization baseline, so hot-path regressions fail
-# verification instead of landing silently.
-echo "== bench smoke (secmetric bench -quick vs BENCH_pr10.json) =="
-benchtmp=$(mktemp -d)
-go run ./cmd/secmetric bench -quick -rev verify -out "$benchtmp/bench.json" \
-	-against BENCH_pr10.json -max-regress 0.25
-rm -rf "$benchtmp"
+# Servebench: the serving-path benchmark is its own Go module, so the
+# build and tests above never compile it. Vet and test it here, offline
+# like servebench/run.sh, so an API change it depends on fails now rather
+# than at benchmark time.
+echo "== servebench (go vet + go test -race) =="
+(cd servebench && GOPROXY=off GOFLAGS= go vet . && GOPROXY=off GOFLAGS= go test -race -count=1 .)
 
 # Store smoke: the embedded engine must survive an injected mid-commit
 # crash losing no acknowledged run (two crash offsets), and MVCC snapshot
