@@ -45,9 +45,10 @@
 // profiling never shares a port (or an exposure decision) with the scoring
 // API. Request bodies above -max-body-bytes are rejected with 413.
 //
-// Model sources: every -model file registers under its basename (or an
-// explicit NAME=PATH), and every *.json in -model-dir registers under its
-// basename. With -train-default and no sources, a logistic model is
+// Model sources: every -model file registers under its basename without a
+// .json or .bin extension (or an explicit NAME=PATH), and every *.json and
+// *.bin file in -model-dir registers the same way; a name two sources claim
+// is refused. With -train-default and no sources, a logistic model is
 // trained on the built-in corpus at startup. A model whose feature schema
 // does not match this build is refused at startup and at reload.
 //
@@ -66,7 +67,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -90,7 +90,7 @@ func run() error {
 	var (
 		addr         = flag.String("addr", ":8321", "listen address (host:port; port 0 picks an ephemeral port)")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file after listening (for ephemeral ports)")
-		modelDir     = flag.String("model-dir", "", "directory of *.json models, each registered under its basename")
+		modelDir     = flag.String("model-dir", "", "directory of *.json and *.bin models, each registered under its basename without the extension")
 		trainDefault = flag.Bool("train-default", false, "train a logistic model on the built-in corpus when no model source is given")
 		workers      = flag.Int("workers", 0, "max concurrent analyses (0 = all cores)")
 		queue        = flag.Int("queue", 64, "max admitted requests waiting for a worker; overflow is rejected with 429")
@@ -108,11 +108,11 @@ func run() error {
 		healthIvl    = flag.Duration("health-interval", router.DefaultHealthInterval, "router mode: interval between active backend health probes")
 	)
 	modelFiles := map[string]string{}
-	flag.Func("model", "model file to serve, repeatable; `path` or NAME=PATH (name defaults to the basename)", func(v string) error {
+	flag.Func("model", "model file to serve, repeatable; `path` or NAME=PATH (name defaults to the basename without .json or .bin)", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")
 		if !ok {
 			path = v
-			name = strings.TrimSuffix(filepath.Base(v), ".json")
+			name, _ = server.ModelName(v)
 		}
 		if name == "" || path == "" {
 			return fmt.Errorf("bad -model %q", v)

@@ -29,11 +29,6 @@ const (
 	// StatusCacheHit: the enrichment came from the content-addressed
 	// feature cache; no analysis ran this run.
 	StatusCacheHit FileStatus = "cache-hit"
-	// StatusCoalesced: this run missed the cache but a concurrent
-	// extraction was already analyzing the identical bytes, so the result
-	// was adopted from that leader (ExtractConfig.Flight). Like a cache
-	// hit, the enrichment is complete — only who paid for it differs.
-	StatusCoalesced FileStatus = "coalesced"
 )
 
 // FileDiagnostic records one file's outcome, with detail (the parse error,
@@ -56,12 +51,6 @@ type AnalysisDiagnostics struct {
 	// (zero when no cache is configured).
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
-	// Coalesced counts this run's cache misses that were adopted from a
-	// concurrent extraction's in-flight analysis instead of being run
-	// (ExtractConfig.Flight). Omitted when zero, so a run with no
-	// coalescing serializes byte-identically to one extracted without a
-	// flight at all.
-	Coalesced uint64 `json:"coalesced,omitempty"`
 	// Trace is the span summary of the run — wall time, span count, and
 	// per-phase busy totals. It is attached only when the caller asked for
 	// tracing (a daemon request with trace=true); otherwise the field is
@@ -104,14 +93,11 @@ func (d *AnalysisDiagnostics) String() string {
 	fmt.Fprintf(&sb, "Analysis diagnostics: %d file(s)\n", len(d.Files))
 	fmt.Fprintf(&sb, "  status: %d ok, %d parse-skip, %d cache-hit, %d timeout, %d panic-contained\n",
 		c[StatusOK], c[StatusParseSkip], c[StatusCacheHit], c[StatusTimeout], c[StatusPanic])
-	if c[StatusCoalesced] > 0 {
-		fmt.Fprintf(&sb, "  coalesced: %d file(s) adopted from concurrent extractions\n", c[StatusCoalesced])
-	}
 	if d.CacheHits+d.CacheMisses > 0 {
 		fmt.Fprintf(&sb, "  feature cache: %d hit(s), %d miss(es)\n", d.CacheHits, d.CacheMisses)
 	}
 	for _, f := range d.Files {
-		if f.Status == StatusOK || f.Status == StatusCacheHit || f.Status == StatusCoalesced {
+		if f.Status == StatusOK || f.Status == StatusCacheHit {
 			continue
 		}
 		fmt.Fprintf(&sb, "  %-28s %-15s %s\n", f.Path, f.Status, f.Detail)

@@ -26,11 +26,12 @@ const binaryMagic = "SMB1"
 // rejected.
 const maxBinarySection = 1 << 28
 
-// ErrModelCorrupt marks a binary model whose header or sections are
-// truncated or internally inconsistent. Callers (the daemon's registry in
-// particular) check for it with errors.Is and keep serving their previous
-// snapshot.
-var ErrModelCorrupt = errors.New("core: corrupt or truncated binary model")
+// ErrModelCorrupt marks a model whose binary header or sections are
+// truncated or internally inconsistent, or whose tree classifier (in either
+// format) splits on a column its hypothesis does not have. Callers (the
+// daemon's registry in particular) check for it with errors.Is and keep
+// serving their previous snapshot.
+var ErrModelCorrupt = errors.New("core: corrupt or truncated model")
 
 // ErrFeatureSchema marks a model whose persisted feature schema does not
 // match this build's metrics.FeatureNames. Scoring with such a model would
@@ -65,57 +66,10 @@ type modelDTO struct {
 	CountStd    float64              `json:"count_residual_std"`
 }
 
-// Save writes the trained model as JSON.
-func (m *Model) Save(w io.Writer) error {
-	dto := modelDTO{
-		Version:     modelFormatVersion,
-		Kind:        m.Config.Kind,
-		Schema:      append([]string(nil), metrics.FeatureNames...),
-		Transformer: m.Transformer,
-		CountEval:   m.CountEval,
-		CountStd:    m.CountResidualStd,
-	}
-	for _, hm := range m.Hypotheses {
-		blob, err := ml.MarshalClassifier(hm.Classifier)
-		if err != nil {
-			return fmt.Errorf("core: saving %s: %w", hm.Hypothesis.Name, err)
-		}
-		h := hypothesisDTO{
-			Name:       hm.Hypothesis.Name,
-			Question:   hm.Hypothesis.Question,
-			Kind:       hm.Kind,
-			Classifier: blob,
-			Features:   hm.Features,
-			Importance: hm.Importance,
-			BaseRate:   hm.BaseRate,
-		}
-		if hm.CV != nil {
-			h.CVAccuracy = hm.CV.Accuracy
-			h.CVAUC = hm.CV.AUC
-		}
-		dto.Hypotheses = append(dto.Hypotheses, h)
-	}
-	if m.CountModel != nil {
-		blob, err := ml.MarshalRegressor(m.CountModel)
-		if err != nil {
-			return fmt.Errorf("core: saving count model: %w", err)
-		}
-		dto.CountModel = blob
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(dto)
-}
-
-// SaveBinary writes the model in the compact binary container: the "SMB1"
-// magic, a length-prefixed JSON meta section (the modelDTO with classifier
-// blobs left out), then one length-prefixed ml binary classifier blob per
-// hypothesis, in meta order. Tree ensembles dominate model size, so they
-// serialize as flat little-endian node arrays instead of recursive JSON;
-// everything else (transformer, CV stats, the linear count model) stays
-// readable JSON in the meta section. LoadModel sniffs the magic, so both
-// formats load through the same call.
-func (m *Model) SaveBinary(w io.Writer) error {
+// toDTO assembles the persisted model record, encoding each hypothesis'
+// classifier with marshal. The blobs come back in hypothesis order: Save
+// embeds them in the record, SaveBinary writes them as sections after it.
+func (m *Model) toDTO(marshal func(ml.Classifier) ([]byte, error)) (modelDTO, [][]byte, error) {
 	dto := modelDTO{
 		Version:     modelFormatVersion,
 		Kind:        m.Config.Kind,
@@ -126,9 +80,9 @@ func (m *Model) SaveBinary(w io.Writer) error {
 	}
 	blobs := make([][]byte, 0, len(m.Hypotheses))
 	for _, hm := range m.Hypotheses {
-		blob, err := ml.MarshalClassifierBinary(hm.Classifier)
+		blob, err := marshal(hm.Classifier)
 		if err != nil {
-			return fmt.Errorf("core: saving %s: %w", hm.Hypothesis.Name, err)
+			return modelDTO{}, nil, fmt.Errorf("core: saving %s: %w", hm.Hypothesis.Name, err)
 		}
 		blobs = append(blobs, blob)
 		h := hypothesisDTO{
@@ -148,9 +102,39 @@ func (m *Model) SaveBinary(w io.Writer) error {
 	if m.CountModel != nil {
 		blob, err := ml.MarshalRegressor(m.CountModel)
 		if err != nil {
-			return fmt.Errorf("core: saving count model: %w", err)
+			return modelDTO{}, nil, fmt.Errorf("core: saving count model: %w", err)
 		}
 		dto.CountModel = blob
+	}
+	return dto, blobs, nil
+}
+
+// Save writes the trained model as JSON.
+func (m *Model) Save(w io.Writer) error {
+	dto, blobs, err := m.toDTO(ml.MarshalClassifier)
+	if err != nil {
+		return err
+	}
+	for i, blob := range blobs {
+		dto.Hypotheses[i].Classifier = blob
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(dto)
+}
+
+// SaveBinary writes the model in the compact binary container: the "SMB1"
+// magic, a length-prefixed JSON meta section (the modelDTO with classifier
+// blobs left out), then one length-prefixed ml binary classifier blob per
+// hypothesis, in meta order. Tree ensembles dominate model size, so they
+// serialize as flat little-endian node arrays instead of recursive JSON;
+// everything else (transformer, CV stats, the linear count model) stays
+// readable JSON in the meta section. LoadModel sniffs the magic, so both
+// formats load through the same call.
+func (m *Model) SaveBinary(w io.Writer) error {
+	dto, blobs, err := m.toDTO(ml.MarshalClassifierBinary)
+	if err != nil {
+		return err
 	}
 	meta, err := json.Marshal(dto)
 	if err != nil {
@@ -266,6 +250,10 @@ func modelFromDTO(dto modelDTO, clfs []ml.Classifier) (*Model, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: loading %s: %w", h.Name, err)
 			}
+		}
+		if w := ml.SplitWidth(clf); w > len(h.Features) {
+			return nil, fmt.Errorf("%w: %s splits on feature column %d but has %d features",
+				ErrModelCorrupt, h.Name, w-1, len(h.Features))
 		}
 		m.Hypotheses = append(m.Hypotheses, &HypothesisModel{
 			Hypothesis: Hypothesis{Name: h.Name, Question: h.Question},

@@ -5,8 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/ml"
 )
 
 // TestModelBinaryRoundTrip trains a forest model, saves it in both formats,
@@ -120,5 +125,53 @@ func TestLoadModelBinaryCorrupt(t *testing.T) {
 	_, err := LoadModel(bytes.NewReader(future))
 	if err == nil || !strings.Contains(err.Error(), "unsupported binary model version") {
 		t.Errorf("future version: err = %v, want unsupported-version error", err)
+	}
+}
+
+// TestLoadModelRejectsOutOfRangeSplit: a tree classifier that splits on a
+// column past its hypothesis' feature list would index past every row it
+// scores, so LoadModel refuses it with ErrModelCorrupt in both formats,
+// for a tree, a forest and AdaBoost stumps alike. A split on the last
+// column loads and scores.
+func TestLoadModelRejectsOutOfRangeSplit(t *testing.T) {
+	const leaf = `{"leaf":true,"probs":[0.25,0.75]}`
+	for _, attr := range []int{99, len(metrics.FeatureNames) - 1} {
+		tree := fmt.Sprintf(`{"k":2,"root":{"attr":%d,"threshold":0.5,"left":%s,"right":%s}}`, attr, leaf, leaf)
+		for kind, payload := range map[string]string{
+			"tree":   tree,
+			"forest": `{"k":2,"trees":[` + tree + `]}`,
+			"boost":  `{"k":2,"alphas":[1],"stumps":[` + tree + `]}`,
+		} {
+			clf, err := ml.UnmarshalClassifier([]byte(`{"kind":"` + kind + `","payload":` + payload + `}`))
+			if err != nil {
+				t.Fatalf("%s attr %d: %v", kind, attr, err)
+			}
+			m := &Model{
+				Transformer: DefaultTransformer(),
+				Hypotheses: []*HypothesisModel{{
+					Hypothesis: Hypothesis{Name: "split"},
+					Classifier: clf,
+					Features:   append([]string(nil), metrics.FeatureNames...),
+				}},
+			}
+			for format, save := range map[string]func(io.Writer) error{"json": m.Save, "binary": m.SaveBinary} {
+				var buf bytes.Buffer
+				if err := save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := LoadModel(&buf)
+				if attr < len(metrics.FeatureNames) {
+					if err != nil {
+						t.Fatalf("%s %s split on the last column refused: %v", format, kind, err)
+					}
+					loaded.Score("x", metrics.FeatureVector{})
+					continue
+				}
+				if !errors.Is(err, ErrModelCorrupt) {
+					t.Errorf("%s %s split on column %d of %d: err = %v, want ErrModelCorrupt",
+						format, kind, attr, len(metrics.FeatureNames), err)
+				}
+			}
+		}
 	}
 }

@@ -284,7 +284,6 @@ func (s *Session) Apply(ctx context.Context, cs Changeset) (*ApplyResult, error)
 		diag.Files[i] = FileDiagnostic{Path: sf.file.Path, Status: sf.status, Detail: sf.detail}
 	}
 	diag.CacheHits, diag.CacheMisses = ct.hits.Load(), ct.misses.Load()
-	diag.Coalesced = ct.coalesced.Load()
 
 	old := s.fv
 	s.fv = fv

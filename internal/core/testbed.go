@@ -21,7 +21,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/minic"
 	"repro/internal/ml"
-	"repro/internal/singleflight"
 	"repro/internal/stats"
 	"repro/internal/symexec"
 	"repro/internal/trace"
@@ -247,7 +246,7 @@ type fileEnrichment struct {
 	CWE78         int `json:"cwe78"`
 	// LintWarnings is lint.CheckFile(f).Total() for the file exactly as
 	// given — the file's share of the lint_warnings feature. It is the one
-	// enrichment a degraded file still carries (see enrichFileBounded).
+	// enrichment a degraded file still carries (see enrichFileDeadline).
 	LintWarnings int `json:"lint_warnings"`
 }
 
@@ -274,13 +273,6 @@ type ExtractConfig struct {
 	// never written to the cache, so raising the timeout later re-runs
 	// the analysis.
 	FileTimeout time.Duration
-	// Flight, when non-nil, coalesces identical in-flight deep analyses
-	// across concurrent extractions sharing the flight: when two requests
-	// race the same cache miss (same analysis version, language, and
-	// bytes), one runs the analysis and the other adopts its result with a
-	// StatusCoalesced diagnostic. A flight only dedups concurrency — the
-	// Cache still owns reuse over time — so it changes cost, never bytes.
-	Flight *ExtractFlight
 	// FileDone, when non-nil, receives each file's diagnostic as the
 	// worker pool finishes it. Calls arrive on worker goroutines in
 	// completion order (any order); i indexes tree.Files. Files skipped
@@ -289,29 +281,6 @@ type ExtractConfig struct {
 	// aggregate exists.
 	FileDone func(i int, d FileDiagnostic)
 }
-
-// ExtractFlight is the shared in-flight dedup table for per-file deep
-// analyses. One flight serves any number of concurrent extractions (the
-// daemon owns exactly one, shared by every request and delta session);
-// the zero value is ready to use.
-type ExtractFlight struct {
-	g singleflight.Group[flightResult]
-}
-
-// flightResult is what a leader hands its followers: the enrichment plus
-// how the analysis ended, so a degraded result is shared as degraded.
-type flightResult struct {
-	enr    fileEnrichment
-	status FileStatus
-	detail string
-}
-
-// NewExtractFlight returns an empty flight.
-func NewExtractFlight() *ExtractFlight { return &ExtractFlight{} }
-
-// Coalesced counts per-file analyses that were adopted from a concurrent
-// leader instead of being run (the daemon's coalesced_total metric).
-func (f *ExtractFlight) Coalesced() uint64 { return f.g.Shared() }
 
 // ExtractFeatures runs the full static-analysis testbed over a source tree:
 // the base extractors plus the deep-analysis enrichment (lint warnings,
@@ -389,16 +358,14 @@ func ExtractFeaturesDiagnostics(ctx context.Context, tree *metrics.Tree, cfg Ext
 
 	setEnrichmentFeatures(fv, aggregateEnrichments(enriched))
 	diag.CacheHits, diag.CacheMisses = ct.hits.Load(), ct.misses.Load()
-	diag.Coalesced = ct.coalesced.Load()
 	return fv, diag, nil
 }
 
-// cacheTraffic counts one run's feature-cache hits and misses, plus the
-// misses that coalesced onto a concurrent leader's analysis. Each
+// cacheTraffic counts one run's feature-cache hits and misses. Each
 // extraction (and each session changeset) owns its own instance, so
 // concurrent runs over a shared cache report only their own traffic.
 type cacheTraffic struct {
-	hits, misses, coalesced atomic.Uint64
+	hits, misses atomic.Uint64
 }
 
 // aggregateEnrichments folds per-file enrichments, in slice order, into the
@@ -472,93 +439,43 @@ const deepSpanSeq = 1
 // parse-skip, both deterministic in the file bytes) are written back: a
 // timed-out or panic-contained zero is a degraded result, and caching it
 // would make the degradation permanent even after the timeout is raised
-// or the analyzer bug fixed.
+// or the analyzer bug fixed. A failed write only costs a future
+// re-analysis, so cache errors are deliberately not fatal.
 //
-// With a Flight configured, concurrent misses on the same key coalesce:
-// one caller (the leader) runs the analysis and writes the cache, the
-// rest adopt its result. The leader runs under a cancel-free context —
-// the deep analysis is non-preemptible CPU work bounded by FileTimeout,
-// so finishing it always costs the same, and finishing lets the result
-// land in the cache and in every follower even when the leader's own
-// request was canceled (the leader's run is discarded by its caller's
-// ctx check regardless).
+// Concurrent misses on the same bytes (two requests, or a request and a
+// delta session, racing a new file) each run the analysis and each write
+// the same record under the same key, which both cache backends tolerate;
+// the analysis is deterministic, so every racer reports the same bytes.
 func enrichFileCached(ctx context.Context, f metrics.File, cfg ExtractConfig, ct *cacheTraffic, fs *trace.Span) (fileEnrichment, FileStatus, string) {
-	if cfg.Cache == nil && cfg.Flight == nil {
-		return enrichFileBounded(ctx, f, cfg.FileTimeout, fs)
+	if cfg.Cache == nil {
+		return enrichFileDeadline(ctx, f, cfg.FileTimeout, fs)
 	}
 	key := featcache.Key(AnalysisVersion, f.Language.String(), f.Content)
-	if cfg.Cache != nil {
-		cs := fs.Child("cache")
-		var out fileEnrichment
-		hit := cfg.Cache.GetJSON(key, &out)
-		cs.End()
-		if hit {
-			ct.hits.Add(1)
-			fs.Add("cache_hit", 1)
-			return out, StatusCacheHit, ""
-		}
-		ct.misses.Add(1)
+	cs := fs.Child("cache")
+	var out fileEnrichment
+	hit := cfg.Cache.GetJSON(key, &out)
+	cs.End()
+	if hit {
+		ct.hits.Add(1)
+		fs.Add("cache_hit", 1)
+		return out, StatusCacheHit, ""
 	}
-	if cfg.Flight == nil {
-		out, status, detail := enrichFileBounded(ctx, f, cfg.FileTimeout, fs)
-		cachePut(cfg, key, out, status)
-		return out, status, detail
-	}
-	res, shared, err := cfg.Flight.g.Do(ctx, key, func() flightResult {
-		enr, status, detail := enrichFileBounded(context.WithoutCancel(ctx), f, cfg.FileTimeout, fs)
-		cachePut(cfg, key, enr, status)
-		return flightResult{enr: enr, status: status, detail: detail}
-	})
-	if err != nil {
-		// Follower canceled while waiting; the whole run is being torn
-		// down and its output discarded, so only a non-ok status matters.
-		return fileEnrichment{}, StatusTimeout, err.Error()
-	}
-	if shared {
-		if res.status == StatusTimeout || res.status == StatusPanic {
-			// An adopted degradation is still a degradation; reporting it
-			// as coalesced would hide the zero enrichment from the
-			// diagnostics.
-			return res.enr, res.status, res.detail
-		}
-		ct.coalesced.Add(1)
-		fs.Add("coalesced", 1)
-		return res.enr, StatusCoalesced, ""
-	}
-	return res.enr, res.status, res.detail
-}
-
-// cachePut writes one completed analysis back to the cache. A failed write
-// only costs a future re-analysis; the result is still correct, so cache
-// errors are deliberately not fatal.
-func cachePut(cfg ExtractConfig, key string, enr fileEnrichment, status FileStatus) {
-	if cfg.Cache == nil {
-		return
-	}
+	ct.misses.Add(1)
+	out, status, detail := enrichFileDeadline(ctx, f, cfg.FileTimeout, fs)
 	if status == StatusOK || status == StatusParseSkip {
-		_ = cfg.Cache.PutJSON(key, enr)
+		_ = cfg.Cache.PutJSON(key, out)
 	}
+	return out, status, detail
 }
 
-// enrichFileBounded runs one file's deep analysis under the per-file
-// deadline. A degraded file (timeout or contained panic) loses its deep
-// enrichment but still counts its lint warnings: they are recounted here,
-// on the worker and without a span of their own, for the file exactly as
-// given. The count is never cached (degraded results are not), and a
-// flight leader's degraded result carries it to its followers.
-func enrichFileBounded(ctx context.Context, f metrics.File, timeout time.Duration, fs *trace.Span) (fileEnrichment, FileStatus, string) {
-	enr, status, detail := enrichFileDeadline(ctx, f, timeout, fs)
-	if (status == StatusTimeout || status == StatusPanic) && ctx.Err() == nil {
-		enr.LintWarnings = lint.CheckFile(f).Total()
-	}
-	return enr, status, detail
-}
-
-// enrichFileDeadline applies the per-file deadline. The analysis itself is
-// not preemptible, so a timed-out analysis keeps running on its goroutine
-// until it finishes on its own; its result is discarded and the file
-// degrades to a zero enrichment immediately. Without a deadline the
-// analysis runs inline on the worker.
+// enrichFileDeadline runs one file's deep analysis under the per-file
+// deadline. The analysis itself is not preemptible, so a timed-out
+// analysis keeps running on its goroutine until it finishes on its own;
+// its result is discarded and the file degrades immediately. Without a
+// deadline the analysis runs inline on the worker. A degraded file
+// (timeout or contained panic) loses its deep enrichment but still counts
+// its lint warnings: they are recounted here, on the worker and without a
+// span of their own, for the file exactly as given, and never cached.
 //
 // The deep-analysis phases record into a detached span subtree that is
 // adopted into the file span only when the result is accepted. An
@@ -567,37 +484,41 @@ func enrichFileBounded(ctx context.Context, f metrics.File, timeout time.Duratio
 // can never race the trace exporter, at the cost of a timed-out file
 // losing its phase breakdown (its diagnostic already names it).
 func enrichFileDeadline(ctx context.Context, f metrics.File, timeout time.Duration, fs *trace.Span) (fileEnrichment, FileStatus, string) {
-	deep := fs.Detached("deep")
-	if timeout <= 0 {
-		enr, status, detail := enrichFileSafe(f, deep)
-		deep.End()
-		fs.Adopt(deep, deepSpanSeq)
-		return enr, status, detail
-	}
 	type result struct {
 		enr    fileEnrichment
 		status FileStatus
 		detail string
 	}
-	ch := make(chan result, 1) // buffered: the late finisher must not leak forever
-	go func() {
-		enr, status, detail := enrichFileSafe(f, deep)
-		deep.End() // before the send: adoption must never race recording
-		ch <- result{enr, status, detail}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
+	var r result
+	deep := fs.Detached("deep")
+	if timeout <= 0 {
+		r.enr, r.status, r.detail = enrichFileSafe(f, deep)
+		deep.End()
 		fs.Adopt(deep, deepSpanSeq)
-		return r.enr, r.status, r.detail
-	case <-timer.C:
-		return fileEnrichment{}, StatusTimeout, fmt.Sprintf("deep analysis exceeded %v; degraded to base metrics", timeout)
-	case <-ctx.Done():
-		// The whole run is being canceled; the caller discards this
-		// result, so the status only needs to be non-ok.
-		return fileEnrichment{}, StatusTimeout, ctx.Err().Error()
+	} else {
+		ch := make(chan result, 1) // buffered: the late finisher must not leak forever
+		go func() {
+			enr, status, detail := enrichFileSafe(f, deep)
+			deep.End() // before the send: adoption must never race recording
+			ch <- result{enr, status, detail}
+		}()
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		select {
+		case r = <-ch:
+			fs.Adopt(deep, deepSpanSeq)
+		case <-timer.C:
+			r = result{status: StatusTimeout, detail: fmt.Sprintf("deep analysis exceeded %v; degraded to base metrics", timeout)}
+		case <-ctx.Done():
+			// The whole run is being canceled; the caller discards this
+			// result, so the status only needs to be non-ok.
+			return fileEnrichment{}, StatusTimeout, ctx.Err().Error()
+		}
 	}
+	if r.status == StatusTimeout || r.status == StatusPanic {
+		r.enr.LintWarnings = lint.CheckFile(f).Total()
+	}
+	return r.enr, r.status, r.detail
 }
 
 // enrichTestHook, when non-nil, runs at the top of every file's deep

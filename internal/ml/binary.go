@@ -14,8 +14,9 @@ import (
 // a tag byte so one blob format carries both.
 
 // ErrBinaryCorrupt reports a truncated or internally inconsistent binary
-// classifier blob. Loaders check for it with errors.Is.
-var ErrBinaryCorrupt = errors.New("ml: corrupt or truncated binary classifier")
+// classifier blob, or a JSON tree payload failing the same structural
+// checks. Loaders check for it with errors.Is.
+var ErrBinaryCorrupt = errors.New("ml: corrupt or truncated classifier")
 
 const (
 	binTagJSON   = 0x00 // payload is a MarshalClassifier JSON envelope
@@ -131,13 +132,15 @@ func (r *binReader) f64() float64 {
 	return v
 }
 
-// maxBinCount bounds every length prefix read from a blob, so a corrupt
-// count cannot drive a multi-gigabyte allocation before validation fails.
+// maxBinCount bounds the class count read from a blob.
 const maxBinCount = 1 << 26
 
-func (r *binReader) count(what string) int {
+// count reads a length prefix for items of size bytes each. A count the
+// rest of the blob cannot hold is refused before anything is allocated, so
+// a corrupt prefix costs at most the blob's own size.
+func (r *binReader) count(what string, size int) int {
 	n := r.u32()
-	if r.err == nil && n > maxBinCount {
+	if r.err == nil && uint64(n)*uint64(size) > uint64(len(r.data)-r.off) {
 		r.err = fmt.Errorf("%w: implausible %s count %d", ErrBinaryCorrupt, what, n)
 	}
 	return int(n)
@@ -146,7 +149,7 @@ func (r *binReader) count(what string) int {
 func parseFlatForest(data []byte) (*flatForest, error) {
 	r := &binReader{data: data}
 	ff := &flatForest{k: int(r.u32())}
-	nRoots := r.count("root")
+	nRoots := r.count("root", 4)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -154,7 +157,7 @@ func parseFlatForest(data []byte) (*flatForest, error) {
 	for i := range ff.roots {
 		ff.roots[i] = int32(r.u32())
 	}
-	nNodes := r.count("node")
+	nNodes := r.count("node", 16)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -166,7 +169,7 @@ func parseFlatForest(data []byte) (*flatForest, error) {
 			thr:   r.f64(),
 		}
 	}
-	nProbs := r.count("prob")
+	nProbs := r.count("prob", 8)
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -186,10 +189,13 @@ func parseFlatForest(data []byte) (*flatForest, error) {
 	return ff, nil
 }
 
-// validate checks the structural invariants the preorder emitter guarantees:
-// in-range roots, children strictly after their parent (which also rules out
-// cycles, since the implicit left child i+1 and the stored right child must
-// both land past i), and leaf probability runs inside the arena.
+// validate checks the structural invariants the preorder emitter
+// guarantees: a positive class count, at least one tree, trees laid out
+// back to back from node 0 to the arena's end, every interior node's left
+// child at i+1 and its right child exactly where its left subtree ends, and
+// leaf probability runs inside the arena. Together these make each tree a
+// tree: every node is reached exactly once, so no cycle or shared subtree
+// can make a walk over the pointer form loop or blow up exponentially.
 func (ff *flatForest) validate() error {
 	if ff.k <= 0 || ff.k > maxBinCount {
 		return fmt.Errorf("%w: bad class count %d", ErrBinaryCorrupt, ff.k)
@@ -198,24 +204,44 @@ func (ff *flatForest) validate() error {
 		return fmt.Errorf("%w: no trees", ErrBinaryCorrupt)
 	}
 	n := int32(len(ff.nodes))
-	for _, root := range ff.roots {
-		if root < 0 || root >= n {
-			return fmt.Errorf("%w: root %d out of range", ErrBinaryCorrupt, root)
+	next := int32(0) // where the next tree must start
+	var pending []int32
+	for t, root := range ff.roots {
+		if root != next {
+			return fmt.Errorf("%w: root %d of tree %d is not at node %d", ErrBinaryCorrupt, root, t, next)
 		}
-	}
-	for i, nd := range ff.nodes {
-		if nd.attr == flatLeaf {
+		// Walk the tree in preorder; pending holds the interior nodes whose
+		// left subtree is still being walked.
+		for i := root; ; {
+			if i >= n {
+				return fmt.Errorf("%w: tree %d runs past the node arena", ErrBinaryCorrupt, t)
+			}
+			nd := ff.nodes[i]
+			if nd.attr != flatLeaf {
+				if nd.attr < 0 {
+					return fmt.Errorf("%w: node %d bad attr %d", ErrBinaryCorrupt, i, nd.attr)
+				}
+				pending = append(pending, i)
+				i++
+				continue
+			}
 			if nd.right < 0 || int(nd.right)+ff.k > len(ff.probs) {
 				return fmt.Errorf("%w: leaf %d probs out of range", ErrBinaryCorrupt, i)
 			}
-			continue
+			i++ // a subtree ends after each leaf
+			if len(pending) == 0 {
+				next = i
+				break
+			}
+			parent := pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+			if ff.nodes[parent].right != i {
+				return fmt.Errorf("%w: node %d children out of preorder range", ErrBinaryCorrupt, parent)
+			}
 		}
-		if nd.attr < 0 {
-			return fmt.Errorf("%w: node %d bad attr %d", ErrBinaryCorrupt, i, nd.attr)
-		}
-		if int32(i)+1 >= n || nd.right <= int32(i)+1 || nd.right >= n {
-			return fmt.Errorf("%w: node %d children out of preorder range", ErrBinaryCorrupt, i)
-		}
+	}
+	if next != n {
+		return fmt.Errorf("%w: %d nodes outside every tree", ErrBinaryCorrupt, n-next)
 	}
 	return nil
 }

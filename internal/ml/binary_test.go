@@ -1,7 +1,9 @@
 package ml
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -149,6 +151,12 @@ func TestBinaryCorruptBlobs(t *testing.T) {
 	if _, err := UnmarshalClassifierBinary(huge); !errors.Is(err, ErrBinaryCorrupt) {
 		t.Errorf("huge root count: err = %v, want ErrBinaryCorrupt", err)
 	}
+	// So must a count the rest of the blob cannot hold: 2^26-1 nodes would
+	// be a 1 GiB arena behind a 17-byte blob.
+	short := []byte{binTagForest, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x03}
+	if _, err := UnmarshalClassifierBinary(short); !errors.Is(err, ErrBinaryCorrupt) || !strings.Contains(err.Error(), "implausible node count") {
+		t.Errorf("node count past the blob: err = %v, want an implausible-count ErrBinaryCorrupt", err)
+	}
 }
 
 func TestFlatForestValidate(t *testing.T) {
@@ -169,6 +177,15 @@ func TestFlatForestValidate(t *testing.T) {
 		"child cycle": {k: 2, roots: []int32{0},
 			nodes: []flatNode{{attr: 0, right: 0}, leaf(0)},
 			probs: []float64{1, 0}},
+		// Node 2 is both node 0's right child and node 1's left: a chain of
+		// such nodes expands exponentially when rebuilt as pointer trees.
+		"shared subtree": {k: 2, roots: []int32{0},
+			nodes: []flatNode{{attr: 0, right: 2}, {attr: 0, right: 3}, leaf(0), leaf(0)},
+			probs: []float64{1, 0}},
+		"shared tree": {k: 2, roots: []int32{0, 0},
+			nodes: []flatNode{leaf(0)}, probs: []float64{1, 0}},
+		"unreachable node": {k: 2, roots: []int32{0},
+			nodes: []flatNode{leaf(0), leaf(0)}, probs: []float64{1, 0}},
 	}
 	for name, ff := range cases {
 		if err := ff.validate(); !errors.Is(err, ErrBinaryCorrupt) {
@@ -261,4 +278,43 @@ func BenchmarkForestPredictBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rf.PredictProbaBatch(rows)
 	}
+}
+
+// FuzzClassifierDecode: UnmarshalClassifierBinary never panics on
+// arbitrary bytes, and a blob it accepts re-encodes to bytes that decode
+// and re-encode identically (encode∘decode is a fixed point after one
+// normalizing pass).
+func FuzzClassifierDecode(f *testing.F) {
+	ff := fittedGoldenForest(f)
+	for _, c := range []Classifier{ff, &DecisionTree{k: 2, root: &treeNode{leaf: true, probs: []float64{0.5, 0.5}}}} {
+		blob, err := MarshalClassifierBinary(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Add(append([]byte{binTagJSON}, `{"kind":"zeror","payload":{"majority":1,"k":2,"counts":[3,4]}}`...))
+	f.Add(append([]byte{binTagJSON}, `{"kind":"boost","payload":{"k":2,"alphas":[1],"stumps":[{"k":2,"root":{"leaf":true,"probs":[1,0]}}]}}`...))
+	f.Add([]byte{binTagForest, 2, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := UnmarshalClassifierBinary(data)
+		if err != nil {
+			return
+		}
+		first, err := MarshalClassifierBinary(c)
+		if err != nil {
+			t.Fatalf("accepted blob does not re-encode: %v", err)
+		}
+		again, err := UnmarshalClassifierBinary(first)
+		if err != nil {
+			t.Fatalf("re-encoded blob does not decode: %v", err)
+		}
+		second, err := MarshalClassifierBinary(again)
+		if err != nil {
+			t.Fatalf("re-decoded classifier does not encode: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encode∘decode not identical:\n%x\n%x", first, second)
+		}
+	})
 }

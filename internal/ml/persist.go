@@ -3,6 +3,7 @@ package ml
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // Classifier persistence: models serialize to a tagged JSON envelope so a
@@ -44,6 +45,50 @@ func fromDTO(d *nodeDTO) *treeNode {
 		attr: d.Attr, threshold: d.Threshold,
 		left: fromDTO(d.Left), right: fromDTO(d.Right),
 	}
+}
+
+// treesFromDTOs rebuilds decoded tree payloads (a tree, a forest's trees,
+// or AdaBoost's stumps) and holds them to the binary codec's structural
+// checks: checkNode rules out what the flat form cannot represent, and
+// the compiled arena must pass flatForest.validate. A JSON model that
+// loads can then no more panic at prediction than a binary one.
+func treesFromDTOs(k int, dtos []treeDTO) ([]*DecisionTree, *flatForest, error) {
+	trees := make([]*DecisionTree, len(dtos))
+	for i, td := range dtos {
+		if td.K != k {
+			return nil, nil, fmt.Errorf("%w: tree %d has %d classes, want %d", ErrBinaryCorrupt, i, td.K, k)
+		}
+		root := fromDTO(td.Root)
+		if err := checkNode(root, k); err != nil {
+			return nil, nil, fmt.Errorf("tree %d: %w", i, err)
+		}
+		trees[i] = &DecisionTree{k: k, root: root}
+	}
+	ff := compileForest(trees, k)
+	if err := ff.validate(); err != nil {
+		return nil, nil, err
+	}
+	return trees, ff, nil
+}
+
+// checkNode rejects a missing node, a leaf without exactly k class
+// probabilities, and a split attribute outside the flat form's int32 range.
+func checkNode(n *treeNode, k int) error {
+	switch {
+	case n == nil:
+		return fmt.Errorf("%w: missing node", ErrBinaryCorrupt)
+	case n.leaf:
+		if len(n.probs) != k {
+			return fmt.Errorf("%w: leaf has %d probabilities, want %d", ErrBinaryCorrupt, len(n.probs), k)
+		}
+		return nil
+	case n.attr < 0 || n.attr > math.MaxInt32:
+		return fmt.Errorf("%w: bad split attribute %d", ErrBinaryCorrupt, n.attr)
+	}
+	if err := checkNode(n.left, k); err != nil {
+		return err
+	}
+	return checkNode(n.right, k)
 }
 
 type zeroRDTO struct {
@@ -117,11 +162,12 @@ func MarshalClassifier(c Classifier) ([]byte, error) {
 		payload = treeDTO{K: m.k, Root: toDTO(m.root)}
 	case *RandomForest:
 		kind = "forest"
+		if m.flat == nil {
+			return nil, fmt.Errorf("ml: marshal of unfitted RandomForest")
+		}
 		f := forestDTO{K: m.k}
-		if m.flat != nil {
-			for _, tr := range m.flat.toTrees() {
-				f.Trees = append(f.Trees, treeDTO{K: tr.k, Root: toDTO(tr.root)})
-			}
+		for _, tr := range m.flat.toTrees() {
+			f.Trees = append(f.Trees, treeDTO{K: tr.k, Root: toDTO(tr.root)})
 		}
 		payload = f
 	case *AdaBoost:
@@ -184,31 +230,34 @@ func UnmarshalClassifier(data []byte) (Classifier, error) {
 		if err := json.Unmarshal(env.Payload, &d); err != nil {
 			return nil, err
 		}
-		return &DecisionTree{k: d.K, root: fromDTO(d.Root)}, nil
+		trees, _, err := treesFromDTOs(d.K, []treeDTO{d})
+		if err != nil {
+			return nil, err
+		}
+		return trees[0], nil
 	case "forest":
 		var d forestDTO
 		if err := json.Unmarshal(env.Payload, &d); err != nil {
 			return nil, err
 		}
-		rf := &RandomForest{k: d.K, Trees: len(d.Trees)}
-		if len(d.Trees) > 0 {
-			trees := make([]*DecisionTree, len(d.Trees))
-			for i, td := range d.Trees {
-				trees[i] = &DecisionTree{k: td.K, root: fromDTO(td.Root)}
-			}
-			rf.flat = compileForest(trees, rf.k)
+		_, ff, err := treesFromDTOs(d.K, d.Trees)
+		if err != nil {
+			return nil, err
 		}
-		return rf, nil
+		return &RandomForest{k: d.K, Trees: len(d.Trees), flat: ff}, nil
 	case "boost":
 		var d boostDTO
 		if err := json.Unmarshal(env.Payload, &d); err != nil {
 			return nil, err
 		}
-		ab := &AdaBoost{k: d.K, Rounds: len(d.Stumps), alphas: d.Alphas}
-		for _, td := range d.Stumps {
-			ab.stumps = append(ab.stumps, &DecisionTree{k: td.K, root: fromDTO(td.Root)})
+		if len(d.Alphas) != len(d.Stumps) {
+			return nil, fmt.Errorf("%w: %d alphas for %d stumps", ErrBinaryCorrupt, len(d.Alphas), len(d.Stumps))
 		}
-		return ab, nil
+		stumps, _, err := treesFromDTOs(d.K, d.Stumps)
+		if err != nil {
+			return nil, err
+		}
+		return &AdaBoost{k: d.K, Rounds: len(stumps), alphas: d.Alphas, stumps: stumps}, nil
 	case "knn":
 		var d knnDTO
 		if err := json.Unmarshal(env.Payload, &d); err != nil {

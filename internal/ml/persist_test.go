@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/stats"
@@ -72,5 +73,66 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 	if _, err := UnmarshalClassifier([]byte(`{"kind":"quantum","payload":{}}`)); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestUnmarshalRejectsMalformedTrees: JSON tree payloads get the binary
+// codec's structural checks, so a tree, forest or AdaBoost stump that is
+// missing a node or carries a short leaf is refused at decode (directly
+// and through the binary container's JSON fallback) instead of panicking
+// at load or at the first prediction. A split on an attribute past the
+// row width decodes; SplitWidth reports it for the model loader to refuse.
+func TestUnmarshalRejectsMalformedTrees(t *testing.T) {
+	const leaf = `{"leaf":true,"probs":[0.25,0.75]}`
+	roots := map[string]string{
+		"nil root":      `null`,
+		"missing child": `{"attr":0,"threshold":1,"left":` + leaf + `}`,
+		"short leaf":    `{"leaf":true,"probs":[1]}`,
+		"negative attr": `{"attr":-1,"threshold":1,"left":` + leaf + `,"right":` + leaf + `}`,
+	}
+	for name, root := range roots {
+		tree := `{"k":2,"root":` + root + `}`
+		for kind, payload := range map[string]string{
+			"tree":   tree,
+			"forest": `{"k":2,"trees":[` + tree + `]}`,
+			"boost":  `{"k":2,"alphas":[1],"stumps":[` + tree + `]}`,
+		} {
+			blob := []byte(`{"kind":"` + kind + `","payload":` + payload + `}`)
+			if c, err := UnmarshalClassifier(blob); !errors.Is(err, ErrBinaryCorrupt) {
+				t.Errorf("%s %s: UnmarshalClassifier = %v, %v; want ErrBinaryCorrupt", name, kind, c, err)
+			}
+			if c, err := UnmarshalClassifierBinary(append([]byte{binTagJSON}, blob...)); !errors.Is(err, ErrBinaryCorrupt) {
+				t.Errorf("%s %s: UnmarshalClassifierBinary = %v, %v; want ErrBinaryCorrupt", name, kind, c, err)
+			}
+		}
+	}
+	if _, err := UnmarshalClassifier([]byte(`{"kind":"boost","payload":{"k":2,"alphas":[1,2],"stumps":[{"k":2,"root":` + leaf + `}]}}`)); !errors.Is(err, ErrBinaryCorrupt) {
+		t.Errorf("boost with more alphas than stumps: err = %v, want ErrBinaryCorrupt", err)
+	}
+
+	wide := `{"k":2,"root":{"attr":99,"threshold":0,"left":` + leaf + `,"right":` + leaf + `}}`
+	for kind, payload := range map[string]string{
+		"tree":   wide,
+		"forest": `{"k":2,"trees":[` + wide + `]}`,
+		"boost":  `{"k":2,"alphas":[1],"stumps":[` + wide + `]}`,
+	} {
+		c, err := UnmarshalClassifier([]byte(`{"kind":"` + kind + `","payload":` + payload + `}`))
+		if err != nil {
+			t.Fatalf("%s split on attribute 99: %v", kind, err)
+		}
+		if w := SplitWidth(c); w != 100 {
+			t.Errorf("%s: SplitWidth = %d, want 100", kind, w)
+		}
+		bin, err := MarshalClassifierBinary(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := UnmarshalClassifierBinary(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := SplitWidth(back); w != 100 {
+			t.Errorf("%s binary: SplitWidth = %d, want 100", kind, w)
+		}
 	}
 }

@@ -241,6 +241,38 @@ func (t *DecisionTree) Depth() int {
 	return h(t.root)
 }
 
+// SplitWidth is the number of leading feature columns a tree classifier's
+// splits read (its largest split attribute plus one); any other classifier
+// reports 0. Predicting on a narrower row would index past its end, so
+// model loaders refuse a classifier wider than the rows it will score.
+func SplitWidth(c Classifier) int {
+	w := 0
+	var walk func(n *treeNode)
+	walk = func(n *treeNode) {
+		if n == nil || n.leaf {
+			return
+		}
+		w = max(w, n.attr+1)
+		walk(n.left)
+		walk(n.right)
+	}
+	switch m := c.(type) {
+	case *DecisionTree:
+		walk(m.root)
+	case *AdaBoost:
+		for _, s := range m.stumps {
+			walk(s.root)
+		}
+	case *RandomForest:
+		if m.flat != nil {
+			for _, n := range m.flat.nodes {
+				w = max(w, int(n.attr)+1) // a leaf's attr is flatLeaf (-1)
+			}
+		}
+	}
+	return w
+}
+
 // RandomForest bags FeatureSubset-sampled decision trees.
 type RandomForest struct {
 	Trees       int

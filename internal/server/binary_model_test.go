@@ -66,3 +66,77 @@ func TestRegistryBinaryModelReload(t *testing.T) {
 		t.Fatal("old snapshot lost the previously loaded binary model")
 	}
 }
+
+// TestModelNameOneRule: a -model path and a -model-dir entry are named by
+// the same rule, so m.bin serves as "m" from either source.
+func TestModelNameOneRule(t *testing.T) {
+	for path, want := range map[string]string{
+		"m.json":          "m",
+		"dir/m.bin":       "m",
+		"/abs/x.v2.json":  "x.v2",
+		"dir/m.json.bin":  "m.json",
+		"dir/m":           "m",
+		"dir/m.txt":       "m.txt",
+		"dir/default.bin": "default",
+	} {
+		name, ok := ModelName(path)
+		if name != want {
+			t.Errorf("ModelName(%q) = %q, want %q", path, name, want)
+		}
+		if wantOK := want != filepath.Base(path); ok != wantOK {
+			t.Errorf("ModelName(%q) ok = %v, want %v", path, ok, wantOK)
+		}
+	}
+}
+
+// TestRegistryRefusesNameCollisions: a name claimed by two file sources —
+// m.json and m.bin in the model dir, or an explicit file and a dir entry —
+// fails the load with an error naming both paths, and the previous
+// snapshot keeps serving.
+func TestRegistryRefusesNameCollisions(t *testing.T) {
+	mA, mB := getModels(t)
+	dir := t.TempDir()
+	jsonPath := filepath.Join(dir, "m.json")
+	if err := secmetric.SaveModel(mA, jsonPath); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(dir, nil)
+	before, err := reg.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binPath := filepath.Join(dir, "m.bin")
+	if err := secmetric.SaveModelBinary(mB, binPath); err != nil {
+		t.Fatal(err)
+	}
+	_, err = reg.Load()
+	if err == nil {
+		t.Fatal("m.json and m.bin both loaded under one name")
+	}
+	for _, p := range []string{jsonPath, binPath} {
+		if !strings.Contains(err.Error(), p) {
+			t.Errorf("collision error does not name %s: %v", p, err)
+		}
+	}
+	if reg.Snapshot() != before {
+		t.Fatal("failed reload replaced the snapshot")
+	}
+
+	// An explicit file and a directory entry claiming one name.
+	if err := os.Remove(jsonPath); err != nil {
+		t.Fatal(err)
+	}
+	explicit := filepath.Join(t.TempDir(), "elsewhere.json")
+	if err := secmetric.SaveModel(mA, explicit); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewRegistry(dir, map[string]string{"m": explicit}).Load()
+	if err == nil {
+		t.Fatal("a directory entry silently replaced an explicit model of the same name")
+	}
+	for _, p := range []string{explicit, binPath} {
+		if !strings.Contains(err.Error(), p) {
+			t.Errorf("collision error does not name %s: %v", p, err)
+		}
+	}
+}

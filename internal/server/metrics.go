@@ -25,16 +25,16 @@ type endpointStats struct {
 	count   uint64
 }
 
-// telemetry is the daemon's metrics surface. The request counters and
-// histograms are mutex-guarded (exposition is low-rate and observation is
-// one map update per request); the admission-path gauges are atomics so
-// rejected requests never contend on the lock.
 // phaseStats accumulates one pipeline phase's totals across requests.
 type phaseStats struct {
 	seconds float64
 	spans   uint64
 }
 
+// telemetry is the daemon's metrics surface. The request counters and
+// histograms are mutex-guarded (exposition is low-rate and observation is
+// one map update per request); the admission-path gauges are atomics so
+// rejected requests never contend on the lock.
 type telemetry struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointStats

@@ -48,10 +48,11 @@ func (s *Snapshot) Names() []string {
 }
 
 // Registry is the daemon's model store: models loaded from a directory
-// (every *.json file, named by basename) and/or explicitly named files,
-// published as atomic snapshots. Load is all-or-nothing — one unreadable
-// or schema-mismatched model file fails the whole reload and the previous
-// snapshot keeps serving — so the registry can never get stuck half-new.
+// (every *.json or *.bin file, named by ModelName) and/or explicitly named
+// files, published as atomic snapshots. Load is all-or-nothing — one
+// unreadable or schema-mismatched model file fails the whole reload and the
+// previous snapshot keeps serving — so the registry can never get stuck
+// half-new.
 type Registry struct {
 	dir   string
 	files map[string]string // explicit name -> path sources
@@ -82,9 +83,11 @@ func (r *Registry) Reloads() uint64 { return r.reloads.Load() }
 
 // Load (re)reads every model source and atomically publishes the new
 // snapshot. Models already registered via Register survive the reload
-// unless a file source shadows their name. A model whose feature schema
-// does not match this build (secmetric.ErrFeatureSchema) is refused, which
-// fails the whole load.
+// unless a file source shadows their name. A name claimed by two file
+// sources (an explicit file and a directory entry, or m.json and m.bin in
+// the directory) is refused, as is a model whose feature schema does not
+// match this build (secmetric.ErrFeatureSchema); either fails the whole
+// load.
 func (r *Registry) Load() (*Snapshot, error) {
 	r.writeMu.Lock()
 	defer r.writeMu.Unlock()
@@ -97,18 +100,9 @@ func (r *Registry) Load() (*Snapshot, error) {
 			models[n] = m
 		}
 	}
-	load := func(name, path string) error {
-		m, err := secmetric.LoadModel(path)
-		if err != nil {
-			return fmt.Errorf("server: refusing model %q (%s): %w", name, path, err)
-		}
-		models[name] = m
-		return nil
-	}
+	sources := make(map[string]string, len(r.files))
 	for name, path := range r.files {
-		if err := load(name, path); err != nil {
-			return nil, err
-		}
+		sources[name] = path
 	}
 	if r.dir != "" {
 		entries, err := os.ReadDir(r.dir)
@@ -120,20 +114,23 @@ func (r *Registry) Load() (*Snapshot, error) {
 				continue
 			}
 			// Both model formats register; LoadModel sniffs the encoding.
-			ext := ""
-			switch {
-			case strings.HasSuffix(e.Name(), ".json"):
-				ext = ".json"
-			case strings.HasSuffix(e.Name(), ".bin"):
-				ext = ".bin"
-			default:
+			name, ok := ModelName(e.Name())
+			if !ok {
 				continue
 			}
-			name := strings.TrimSuffix(e.Name(), ext)
-			if err := load(name, filepath.Join(r.dir, e.Name())); err != nil {
-				return nil, err
+			path := filepath.Join(r.dir, e.Name())
+			if prev, dup := sources[name]; dup {
+				return nil, fmt.Errorf("server: model name %q is claimed by both %s and %s", name, prev, path)
 			}
+			sources[name] = path
 		}
+	}
+	for name, path := range sources {
+		m, err := secmetric.LoadModel(path)
+		if err != nil {
+			return nil, fmt.Errorf("server: refusing model %q (%s): %w", name, path, err)
+		}
+		models[name] = m
 	}
 	if len(models) == 0 {
 		return nil, errors.New("server: no models to register (empty model dir and no model files)")
@@ -142,6 +139,20 @@ func (r *Registry) Load() (*Snapshot, error) {
 	r.snap.Store(snap)
 	r.reloads.Add(1)
 	return snap, nil
+}
+
+// ModelName is the registry name of a model file: its basename without the
+// .json or .bin extension. ok reports whether the file has one of the two
+// model extensions, which a model directory requires; an explicit -model
+// path may have any name.
+func ModelName(path string) (name string, ok bool) {
+	base := filepath.Base(path)
+	for _, ext := range []string{".json", ".bin"} {
+		if name, ok = strings.CutSuffix(base, ext); ok {
+			return name, true
+		}
+	}
+	return base, false
 }
 
 // Register installs an in-memory model under name, copy-on-write: a fresh

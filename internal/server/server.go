@@ -112,10 +112,6 @@ type Server struct {
 	start    time.Time
 	sessions *sessionPool
 
-	// flight dedups identical in-flight per-file deep analyses across every
-	// concurrent request and delta session of this server.
-	flight *core.ExtractFlight
-
 	// heartbeat is the streams' keepalive interval: streamHeartbeat, which
 	// tests shrink to observe heartbeats without a slow analysis.
 	heartbeat time.Duration
@@ -161,7 +157,6 @@ func New(reg *Registry, cfg Config) *Server {
 	if cache == nil {
 		cache = featcache.NewMemory()
 	}
-	flight := core.NewExtractFlight()
 	return &Server{
 		cfg:       cfg,
 		reg:       reg,
@@ -170,18 +165,15 @@ func New(reg *Registry, cfg Config) *Server {
 		sem:       make(chan struct{}, cfg.Workers),
 		slots:     cfg.Workers,
 		start:     time.Now(),
-		flight:    flight,
 		heartbeat: streamHeartbeat,
 		// Delta sessions extract with the same pool width, per-file
-		// deadline, shared cache, and shared flight as the batch endpoints,
-		// so the incremental and cold paths produce byte-identical vectors
-		// and a session apply racing a batch request over the same bytes
-		// runs the deep analysis once.
+		// deadline, and shared cache as the batch endpoints, so the
+		// incremental and cold paths produce byte-identical vectors and a
+		// file one path analyzed is a cache hit for the other.
 		sessions: newSessionPool(cfg.MaxSessions, cfg.SessionTTL, core.ExtractConfig{
 			Jobs:        cfg.AnalyzeJobs,
 			Cache:       cache,
 			FileTimeout: cfg.FileTimeout,
-			Flight:      flight,
 		}),
 	}
 }
@@ -397,46 +389,72 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // analyze runs the full extraction pipeline for one request against the
-// shared feature cache and in-flight dedup table. fileDone, when non-nil,
-// sees each file's diagnostic as it completes.
+// shared feature cache. fileDone, when non-nil, sees each file's
+// diagnostic as it completes.
 func (s *Server) analyze(ctx context.Context, tree *metrics.Tree, fileDone func(i int, d core.FileDiagnostic)) (secmetric.FeatureVector, *secmetric.AnalysisDiagnostics, error) {
 	return core.ExtractFeaturesDiagnostics(ctx, tree, core.ExtractConfig{
 		Jobs:        s.cfg.AnalyzeJobs,
 		Cache:       s.cache,
 		FileTimeout: s.cfg.FileTimeout,
-		Flight:      s.flight,
 		FileDone:    fileDone,
 	})
 }
 
 // toTree converts a wire tree to the analyzer's representation, applying
-// the same discipline as the CLI's directory loader: languages inferred
-// from extensions, dot-files and unrecognized extensions skipped, files
-// sorted by path. An empty result (nothing analyzable) is an error. The
-// tree is named by its subject, the name the shard router keys it under.
+// the same discipline as the CLI's directory loader: admitPath's rule per
+// file, then files sorted by path. An empty result (nothing analyzable) or
+// a duplicate path is an error. The tree is named by its subject, the name
+// the shard router keys it under.
 func toTree(t api.Tree) (*metrics.Tree, error) {
 	name := t.Subject()
-	out := &metrics.Tree{Name: name}
-	for _, f := range t.Files {
-		if f.Path == "" {
-			return nil, errors.New("file with empty path")
-		}
-		if strings.HasPrefix(path.Base(f.Path), ".") {
-			continue
-		}
-		l := lang.FromPath(f.Path)
-		if l == lang.Unknown {
-			continue
-		}
-		out.Files = append(out.Files, metrics.File{Path: f.Path, Language: l, Content: f.Content})
+	files, err := admitFiles(t.Files, errTreeEmptyPath)
+	if err != nil {
+		return nil, err
 	}
-	if len(out.Files) == 0 {
+	if len(files) == 0 {
 		return nil, fmt.Errorf("no analyzable source files in tree %q", name)
 	}
-	sort.Slice(out.Files, func(i, j int) bool { return out.Files[i].Path < out.Files[j].Path })
-	for i := 1; i < len(out.Files); i++ {
-		if out.Files[i].Path == out.Files[i-1].Path {
-			return nil, fmt.Errorf("duplicate file path %q", out.Files[i].Path)
+	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
+	for i := 1; i < len(files); i++ {
+		if files[i].Path == files[i-1].Path {
+			return nil, fmt.Errorf("duplicate file path %q", files[i].Path)
+		}
+	}
+	return &metrics.Tree{Name: name, Files: files}, nil
+}
+
+// The empty-path refusals of a tree and a changeset, each kept verbatim.
+var (
+	errTreeEmptyPath      = errors.New("file with empty path")
+	errChangesetEmptyPath = errors.New("changeset contains an empty file path")
+)
+
+// admitPath is the one per-path admission rule of the wire: an empty path
+// is refused with errEmpty, a dot-file or a path without a recognized
+// source extension is skipped (ok false), and the language comes from the
+// extension.
+func admitPath(p string, errEmpty error) (l lang.Language, ok bool, err error) {
+	if p == "" {
+		return lang.Unknown, false, errEmpty
+	}
+	if strings.HasPrefix(path.Base(p), ".") {
+		return lang.Unknown, false, nil
+	}
+	l = lang.FromPath(p)
+	return l, l != lang.Unknown, nil
+}
+
+// admitFiles applies admitPath to each wire file, keeping the admitted
+// ones in input order.
+func admitFiles(files []api.File, errEmpty error) ([]metrics.File, error) {
+	var out []metrics.File
+	for _, f := range files {
+		l, ok, err := admitPath(f.Path, errEmpty)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, metrics.File{Path: f.Path, Language: l, Content: f.Content})
 		}
 	}
 	return out, nil
@@ -485,44 +503,23 @@ func (s *Server) record(ctx context.Context, source string, tree *metrics.Tree, 
 	s.historyRuns.Add(1)
 }
 
-// toChangeset converts a wire changeset with the exact per-file
-// discipline toTree applies to whole trees: dot-files and unrecognized
-// extensions are silently dropped (from Removed too — such paths were
-// never admitted into a session, so removing one must not read as stale),
-// empty paths are an error, languages come from extensions. Uniqueness
-// across the three lists is the session's own validation.
+// toChangeset converts a wire changeset with admitPath, the rule toTree
+// applies to whole trees: dot-files and unrecognized extensions are
+// silently dropped (from Removed too — such paths were never admitted into
+// a session, so removing one must not read as stale), empty paths are an
+// error, languages come from extensions. Uniqueness across the three lists
+// is the session's own validation.
 func toChangeset(cs api.Changeset) (core.Changeset, error) {
 	var out core.Changeset
-	admit := func(p string) (lang.Language, bool, error) {
-		if p == "" {
-			return lang.Unknown, false, errors.New("changeset contains an empty file path")
-		}
-		if strings.HasPrefix(path.Base(p), ".") {
-			return lang.Unknown, false, nil
-		}
-		l := lang.FromPath(p)
-		return l, l != lang.Unknown, nil
+	var err error
+	if out.Added, err = admitFiles(cs.Added, errChangesetEmptyPath); err != nil {
+		return core.Changeset{}, err
 	}
-	for _, f := range cs.Added {
-		l, ok, err := admit(f.Path)
-		if err != nil {
-			return core.Changeset{}, err
-		}
-		if ok {
-			out.Added = append(out.Added, metrics.File{Path: f.Path, Language: l, Content: f.Content})
-		}
-	}
-	for _, f := range cs.Modified {
-		l, ok, err := admit(f.Path)
-		if err != nil {
-			return core.Changeset{}, err
-		}
-		if ok {
-			out.Modified = append(out.Modified, metrics.File{Path: f.Path, Language: l, Content: f.Content})
-		}
+	if out.Modified, err = admitFiles(cs.Modified, errChangesetEmptyPath); err != nil {
+		return core.Changeset{}, err
 	}
 	for _, p := range cs.Removed {
-		_, ok, err := admit(p)
+		_, ok, err := admitPath(p, errChangesetEmptyPath)
 		if err != nil {
 			return core.Changeset{}, err
 		}
@@ -573,9 +570,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP secmetricd_featcache_corrupt_total Disk cache entries that failed validation on read (counted, then treated as misses).")
 	fmt.Fprintln(w, "# TYPE secmetricd_featcache_corrupt_total counter")
 	fmt.Fprintf(w, "secmetricd_featcache_corrupt_total %d\n", s.cache.CorruptReads())
-	fmt.Fprintln(w, "# HELP secmetricd_coalesced_total Work answered by adopting a concurrent identical execution: kind=\"file\" is per-file deep analyses.")
-	fmt.Fprintln(w, "# TYPE secmetricd_coalesced_total counter")
-	fmt.Fprintf(w, "secmetricd_coalesced_total{kind=\"file\"} %d\n", s.flight.Coalesced())
 	fmt.Fprintln(w, "# HELP secmetricd_models_loaded Models in the current registry snapshot.")
 	fmt.Fprintln(w, "# TYPE secmetricd_models_loaded gauge")
 	fmt.Fprintf(w, "secmetricd_models_loaded %d\n", len(s.reg.Snapshot().Models))

@@ -601,7 +601,6 @@ func TestMetricsExposition(t *testing.T) {
 		`secmetricd_rejected_total{reason="queue_full"} 0`,
 		"secmetricd_featcache_hits_total",
 		"secmetricd_featcache_misses_total",
-		`secmetricd_coalesced_total{kind="file"}`,
 		"secmetricd_models_loaded 1",
 		"secmetricd_uptime_seconds",
 	} {

@@ -237,8 +237,9 @@ func NewSession(name string, cfg AnalyzeConfig) (*Session, error) {
 // than silently misaligning columns at score time.
 var ErrFeatureSchema = core.ErrFeatureSchema
 
-// ErrModelCorrupt marks a binary model file whose header or sections are
-// truncated or inconsistent; LoadModel refuses it, and the daemon's registry
+// ErrModelCorrupt marks a model file whose binary header or sections are
+// truncated or inconsistent, or whose tree classifier splits on a feature
+// column it does not have; LoadModel refuses it, and the daemon's registry
 // keeps serving its previous snapshot.
 var ErrModelCorrupt = core.ErrModelCorrupt
 
@@ -275,7 +276,8 @@ func saveModelAtomic(path string, write func(io.Writer) error) error {
 // LoadModel reads a model written by SaveModel or SaveModelBinary (the
 // format is sniffed). Loaded models score and compare codebases but cannot
 // be retrained. A model whose feature schema does not match this build is
-// refused with ErrFeatureSchema; a damaged binary file with ErrModelCorrupt.
+// refused with ErrFeatureSchema; a damaged binary file, or a tree classifier
+// splitting on a feature column it does not have, with ErrModelCorrupt.
 func LoadModel(path string) (*Model, error) {
 	f, err := os.Open(path)
 	if err != nil {

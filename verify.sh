@@ -5,7 +5,8 @@
 # cancellation/panic-containment paths — is race-checked on every run),
 # and short native-fuzz smokes over the MiniC parser (the panic source
 # the containment layer most needs to hold against), the query parser,
-# and the daemon's wire-to-tree admission. The servebench module,
+# the daemon's wire-to-tree admission, and the classifier decoder that
+# loads model files. The servebench module,
 # which the root module's build never reaches, is vetted and tested on its
 # own. Ends with the live
 # secmetricd drills that need real processes: SIGTERM must drain requests
@@ -43,6 +44,9 @@ go test -run Fuzz -fuzz FuzzQueryParse -fuzztime 10s ./internal/store/query
 
 echo "== fuzz smoke (FuzzWireAdmission, 10s) =="
 go test -run Fuzz -fuzz FuzzWireAdmission -fuzztime 10s ./internal/server
+
+echo "== fuzz smoke (FuzzClassifierDecode, 10s) =="
+go test -run Fuzz -fuzz FuzzClassifierDecode -fuzztime 10s ./internal/ml
 
 echo "== findings smoke (examples/vulnapp) =="
 out=$(go run ./cmd/secmetric findings examples/vulnapp)
