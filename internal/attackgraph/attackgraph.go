@@ -90,16 +90,6 @@ func (n *Network) Reachable(src, dst string) bool {
 	return n.reach[src][dst]
 }
 
-// hostByName returns the host.
-func (n *Network) hostByName(name string) (Host, bool) {
-	for _, h := range n.Hosts {
-		if h.Name == name {
-			return h, true
-		}
-	}
-	return Host{}, false
-}
-
 // State is an attacker state: privilege held on each host. It is encoded as
 // a canonical string for hashing.
 type State map[string]Priv

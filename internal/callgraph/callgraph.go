@@ -102,50 +102,6 @@ func (g *Graph) MaxFanOut() int {
 	return max
 }
 
-// MaxFanIn returns the largest fan-in in the graph.
-func (g *Graph) MaxFanIn() int {
-	max := 0
-	for _, fn := range g.order {
-		if n := g.FanIn(fn); n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// HasRecursion reports whether the call graph contains a cycle (direct or
-// mutual recursion).
-func (g *Graph) HasRecursion() bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[string]int{}
-	var visit func(string) bool
-	visit = func(fn string) bool {
-		color[fn] = gray
-		for _, c := range g.Callees[fn] {
-			switch color[c] {
-			case gray:
-				return true
-			case white:
-				if visit(c) {
-					return true
-				}
-			}
-		}
-		color[fn] = black
-		return false
-	}
-	for _, fn := range g.order {
-		if color[fn] == white && visit(fn) {
-			return true
-		}
-	}
-	return false
-}
-
 // Depth returns the longest acyclic call chain length (number of nodes on
 // the longest path). Cycles contribute their nodes once.
 func (g *Graph) Depth() int {
@@ -273,48 +229,6 @@ func (g *Graph) Roots() []string {
 	var out []string
 	for _, fn := range g.order {
 		if g.FanIn(fn) == 0 {
-			out = append(out, fn)
-		}
-	}
-	return out
-}
-
-// Reachable returns the set of defined functions reachable from fn
-// (including fn itself).
-func (g *Graph) Reachable(fn string) map[string]bool {
-	seen := map[string]bool{}
-	var walk func(string)
-	walk = func(f string) {
-		if seen[f] {
-			return
-		}
-		seen[f] = true
-		for _, c := range g.Callees[f] {
-			walk(c)
-		}
-	}
-	if _, ok := g.Callees[fn]; ok {
-		walk(fn)
-	}
-	return seen
-}
-
-// DeadFunctions returns defined functions unreachable from any root. When
-// the graph has no roots (everything is in cycles), nothing is reported.
-func (g *Graph) DeadFunctions() []string {
-	roots := g.Roots()
-	if len(roots) == 0 {
-		return nil
-	}
-	live := map[string]bool{}
-	for _, r := range roots {
-		for fn := range g.Reachable(r) {
-			live[fn] = true
-		}
-	}
-	var out []string
-	for _, fn := range g.order {
-		if !live[fn] {
 			out = append(out, fn)
 		}
 	}

@@ -60,8 +60,8 @@ func TestFanInOut(t *testing.T) {
 		t.Fatalf("fan stats wrong: out(top)=%d in(leaf)=%d in(top)=%d",
 			g.FanOut("top"), g.FanIn("leaf"), g.FanIn("top"))
 	}
-	if g.MaxFanOut() != 2 || g.MaxFanIn() != 2 {
-		t.Fatalf("max fans = %d/%d", g.MaxFanOut(), g.MaxFanIn())
+	if g.MaxFanOut() != 2 {
+		t.Fatalf("max fan-out = %d", g.MaxFanOut())
 	}
 }
 
@@ -77,23 +77,6 @@ func TestDepth(t *testing.T) {
 	}
 }
 
-func TestRecursionDetection(t *testing.T) {
-	if build(t, sample).HasRecursion() {
-		t.Fatal("acyclic graph reported recursive")
-	}
-	direct := build(t, "int f(int n) { if (n) { return f(n - 1); } return 0; }")
-	if !direct.HasRecursion() {
-		t.Fatal("direct recursion missed")
-	}
-	mutual := build(t, `
-int even(int n) { if (n) { return odd(n - 1); } return 1; }
-int odd(int n) { if (n) { return even(n - 1); } return 0; }
-`)
-	if !mutual.HasRecursion() {
-		t.Fatal("mutual recursion missed")
-	}
-}
-
 func TestRecursiveDepthTerminates(t *testing.T) {
 	g := build(t, "int f(int n) { if (n) { return f(n - 1); } return 0; }")
 	if d := g.Depth(); d != 1 {
@@ -101,43 +84,21 @@ func TestRecursiveDepthTerminates(t *testing.T) {
 	}
 }
 
-func TestRootsAndDeadFunctions(t *testing.T) {
-	g := build(t, sample)
-	roots := g.Roots()
+func TestRoots(t *testing.T) {
 	// top and orphan are uncalled.
-	if len(roots) != 2 {
+	if roots := build(t, sample).Roots(); len(roots) != 2 || roots[0] != "top" || roots[1] != "orphan" {
 		t.Fatalf("roots = %v", roots)
 	}
-	if dead := g.DeadFunctions(); len(dead) != 0 {
-		t.Fatalf("dead = %v", dead)
-	}
-	// A function only reachable from itself is dead once a root exists.
-	g2 := build(t, `
+	// A function that only calls others is a root even when nothing
+	// reaches it from main.
+	g := build(t, `
 int main(void) { return helper(); }
 int helper(void) { return 1; }
 int unused(void) { return unused_inner(); }
 int unused_inner(void) { return 2; }
 `)
-	dead := g2.DeadFunctions()
-	if len(dead) != 0 {
-		// unused is a root itself (nobody calls it), so nothing is dead.
-		t.Fatalf("dead = %v", dead)
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := build(t, sample)
-	r := g.Reachable("top")
-	for _, want := range []string{"top", "middle", "leaf"} {
-		if !r[want] {
-			t.Fatalf("%s not reachable from top: %v", want, r)
-		}
-	}
-	if r["orphan"] {
-		t.Fatal("orphan should not be reachable from top")
-	}
-	if len(g.Reachable("nonexistent")) != 0 {
-		t.Fatal("unknown function has reachable set")
+	if roots := g.Roots(); len(roots) != 2 || roots[0] != "main" || roots[1] != "unused" {
+		t.Fatalf("roots = %v", roots)
 	}
 }
 

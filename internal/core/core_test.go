@@ -273,18 +273,6 @@ func TestNewClassifierKinds(t *testing.T) {
 	}
 }
 
-func TestStatsFromRecords(t *testing.T) {
-	recs := getCorpus(t).DB.Records(testCorpus.Apps[0].App.Name)
-	s := StatsFromRecords(testCorpus.Apps[0].App, recs)
-	if s.Count != len(recs) {
-		t.Fatalf("count = %d", s.Count)
-	}
-	st, _ := testCorpus.DB.StatsFor(testCorpus.Apps[0].App.Name)
-	if s.HighSeverity != st.HighSeverity || s.NetworkVector != st.NetworkVector {
-		t.Fatalf("stats disagree: %+v vs %+v", s, st)
-	}
-}
-
 func TestPredictionBandOrdering(t *testing.T) {
 	tb := NewTestbed(getCorpus(t))
 	m, err := Train(context.Background(), tb, TrainConfig{Kind: KindLogistic, Folds: 3, Seed: 31})

@@ -190,9 +190,19 @@ func TestFileTimeoutDegradesToBaseMetrics(t *testing.T) {
 	spec.Files = 3
 	tree := langgen.Generate(spec)
 	victim := tree.Files[0].Path
+	stalled := make(chan struct{})
 	setHook(t, func(f metrics.File) {
 		if f.Path == victim {
 			time.Sleep(500 * time.Millisecond)
+			close(stalled)
+		}
+	})
+	// The stalled analysis outlives its deadline on its own goroutine, which
+	// read the hook; wait for it before setHook's cleanup resets the hook.
+	t.Cleanup(func() {
+		select {
+		case <-stalled:
+		case <-time.After(10 * time.Second):
 		}
 	})
 

@@ -6,10 +6,7 @@
 // properties drive the risk, and compare two versions.
 package core
 
-import (
-	"repro/internal/cvedb"
-	"repro/internal/cwe"
-)
+import "repro/internal/cvedb"
 
 // Hypothesis is one question the model answers about an application, with
 // its labelling rule over the CVE ground truth (Figure 4's "CVE
@@ -69,24 +66,3 @@ func StandardHypotheses() []Hypothesis {
 
 // ClassNames are the nominal labels used for every hypothesis dataset.
 var ClassNames = []string{"no", "yes"}
-
-// StatsFromRecords recomputes hypothesis-relevant statistics from raw
-// records; used when scoring an application not present in a database.
-func StatsFromRecords(app cvedb.App, recs []cvedb.Record) cvedb.Stats {
-	s := cvedb.Stats{App: app, Count: len(recs)}
-	for _, r := range recs {
-		if r.Score > 7 {
-			s.HighSeverity++
-		}
-		if r.NetworkAttackable() {
-			s.NetworkVector++
-		}
-		if cwe.IsA(r.CWE, 121) {
-			s.StackOverflow++
-		}
-		if e, ok := cwe.Lookup(r.CWE); ok && e.Class == cwe.ClassMemory {
-			s.MemorySafety++
-		}
-	}
-	return s
-}

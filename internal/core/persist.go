@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -21,16 +22,20 @@ const modelFormatVersion = 1
 // load through the same entry point.
 const binaryMagic = "SMB1"
 
-// maxBinarySection bounds every length prefix in a binary model, so a
-// corrupt header cannot drive an arbitrary allocation before the payload is
-// rejected.
+// maxBinarySection bounds every length prefix in a binary model. Sections
+// are read into a buffer that grows with the bytes actually present, so a
+// corrupt prefix costs at most the file's own size, never this bound.
 const maxBinarySection = 1 << 28
 
 // ErrModelCorrupt marks a model whose binary header or sections are
-// truncated or internally inconsistent, or whose tree classifier (in either
-// format) splits on a column its hypothesis does not have. Callers (the
-// daemon's registry in particular) check for it with errors.Is and keep
-// serving their previous snapshot.
+// truncated or internally inconsistent, or (in either format) whose parts
+// disagree on shape: a classifier payload whose dimensions disagree with
+// each other, a hypothesis feature missing from the schema, a classifier
+// that does not have the two ClassNames classes or whose input width does
+// not fit its hypothesis' features, or a count model without one
+// coefficient per schema feature plus the intercept. Callers (the daemon's
+// registry in particular) check for it with errors.Is and keep serving
+// their previous snapshot.
 var ErrModelCorrupt = errors.New("core: corrupt or truncated model")
 
 // ErrFeatureSchema marks a model whose persisted feature schema does not
@@ -214,11 +219,12 @@ func readSection(br *bufio.Reader, what string) ([]byte, error) {
 	if n > maxBinarySection {
 		return nil, fmt.Errorf("%w: implausible %s length %d", ErrModelCorrupt, what, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	var buf bytes.Buffer
+	buf.Grow(int(min(n, 1<<20)))
+	if got, _ := buf.ReadFrom(io.LimitReader(br, int64(n))); got != int64(n) {
 		return nil, fmt.Errorf("%w: truncated %s section", ErrModelCorrupt, what)
 	}
-	return buf, nil
+	return buf.Bytes(), nil
 }
 
 // modelFromDTO validates the decoded header and assembles the Model. clfs
@@ -247,13 +253,15 @@ func modelFromDTO(dto modelDTO, clfs []ml.Classifier) (*Model, error) {
 		} else {
 			var err error
 			clf, err = ml.UnmarshalClassifier(h.Classifier)
+			if errors.Is(err, ml.ErrBinaryCorrupt) {
+				return nil, fmt.Errorf("%w: %s: %v", ErrModelCorrupt, h.Name, err)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("core: loading %s: %w", h.Name, err)
 			}
 		}
-		if w := ml.SplitWidth(clf); w > len(h.Features) {
-			return nil, fmt.Errorf("%w: %s splits on feature column %d but has %d features",
-				ErrModelCorrupt, h.Name, w-1, len(h.Features))
+		if err := checkHypothesis(h, clf); err != nil {
+			return nil, err
 		}
 		m.Hypotheses = append(m.Hypotheses, &HypothesisModel{
 			Hypothesis: Hypothesis{Name: h.Name, Question: h.Question},
@@ -270,9 +278,37 @@ func modelFromDTO(dto modelDTO, clfs []ml.Classifier) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: loading count model: %w", err)
 		}
+		if n := len(reg.Coeffs()); n != len(metrics.FeatureNames)+1 {
+			return nil, fmt.Errorf("%w: count model has %d coefficients, want %d (intercept plus one per schema feature)",
+				ErrModelCorrupt, n, len(metrics.FeatureNames)+1)
+		}
 		m.CountModel = reg
 	}
 	return m, nil
+}
+
+// checkHypothesis refuses a hypothesis that Score could not run as
+// written. projectRow reads column 0 for a feature the schema lacks and
+// passes a full-width row through unprojected, so every feature must be a
+// schema name, and a full-width list must be the schema itself. The
+// classifier must score into the two ClassNames classes (Score reads the
+// probability of class 1) and fit the feature count (ml.CheckShape).
+func checkHypothesis(h hypothesisDTO, clf ml.Classifier) error {
+	if len(h.Features) == len(metrics.FeatureNames) {
+		if !slices.Equal(h.Features, metrics.FeatureNames) {
+			return fmt.Errorf("%w: %s lists every feature, but not in schema order", ErrModelCorrupt, h.Name)
+		}
+	} else {
+		for _, f := range h.Features {
+			if !slices.Contains(metrics.FeatureNames, f) {
+				return fmt.Errorf("%w: %s uses feature %q, which the schema lacks", ErrModelCorrupt, h.Name, f)
+			}
+		}
+	}
+	if err := ml.CheckShape(clf, len(ClassNames), len(h.Features)); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrModelCorrupt, h.Name, err)
+	}
+	return nil
 }
 
 // validateSchema compares a persisted feature schema against the running

@@ -93,7 +93,7 @@ type Model struct {
 	Config     TrainConfig
 	Hypotheses []*HypothesisModel
 	// CountModel predicts log10(#vulns).
-	CountModel ml.Regressor
+	CountModel *ml.LinearRegressor
 	CountEval  ml.RegressionMetrics
 	// CountResidualStd is the training residual standard deviation in
 	// log10 space; Score turns it into a ~90% prediction band.
@@ -158,7 +158,7 @@ func Train(ctx context.Context, tb *Testbed, cfg TrainConfig) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	var countModel ml.Regressor = &ml.LinearRegressor{Lambda: 1.0}
+	countModel := &ml.LinearRegressor{Lambda: 1.0}
 	if err := countModel.Fit(reg); err != nil {
 		return nil, err
 	}

@@ -159,20 +159,6 @@ func (db *DB) HistorySpan(app string) time.Duration {
 // FiveYears is the paper's converging-history threshold.
 const FiveYears = 5 * 365 * 24 * time.Hour
 
-// SelectConverging returns the applications whose CVE history spans at least
-// minSpan (the paper uses five years), sorted by name. This implements the
-// "select applications with converging history" stage of Figure 4.
-func (db *DB) SelectConverging(minSpan time.Duration) []App {
-	var out []App
-	for name, a := range db.apps {
-		if db.HistorySpan(name) >= minSpan {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // SelectEstablished returns the applications whose *oldest* CVE report is
 // at least minAge before asOf, sorted by name. Figure 2 plots applications
 // with a single vulnerability, so the paper's "5-year history" filter must

@@ -102,16 +102,15 @@ func TestHistorySpanAndSelection(t *testing.T) {
 	if db.HistorySpan("parser") != 0 {
 		t.Fatal("single-record app should have zero span")
 	}
-	sel := db.SelectConverging(FiveYears)
+	// Selection reads the age of the oldest report, not the span: parser's
+	// single 2015 report admits it once that report is five years old.
+	sel := db.SelectEstablished(FiveYears, date(2018, 1, 1))
 	if len(sel) != 1 || sel[0].Name != "httpd" {
-		t.Fatalf("SelectConverging = %v", sel)
+		t.Fatalf("SelectEstablished(2018) = %v", sel)
 	}
-	// A zero threshold admits every app with >= 2 records at distinct dates;
-	// parser has a single record so still only httpd qualifies... with 0 span
-	// it qualifies too (0 >= 0).
-	all := db.SelectConverging(0)
+	all := db.SelectEstablished(FiveYears, date(2021, 1, 1))
 	if len(all) != 2 {
-		t.Fatalf("SelectConverging(0) = %v", all)
+		t.Fatalf("SelectEstablished(2021) = %v", all)
 	}
 }
 

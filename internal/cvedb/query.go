@@ -168,78 +168,3 @@ func (db *DB) TopCWEs(q Query, n int) []CWECount {
 	}
 	return out
 }
-
-// Trend summarizes an application's vulnerability discovery rate: the OLS
-// slope of yearly report counts over the app's active years. A negative
-// slope is the "converging history" §5.1 looks for — reporting that has
-// peaked and is tapering — while a positive slope marks still-diverging
-// codebases.
-type Trend struct {
-	// Slope is reports-per-year change per year.
-	Slope float64
-	// PeakYear is the year with the most reports (earliest on ties).
-	PeakYear int
-	// Converging is true when the post-peak mean rate is below the
-	// peak-year rate and the overall slope is non-positive.
-	Converging bool
-	// Years is the number of calendar years with at least one report.
-	Years int
-}
-
-// TrendFor computes the discovery trend of one application. Apps with
-// fewer than two active years report a zero slope and are not converging.
-func (db *DB) TrendFor(app string) Trend {
-	ys := db.YearHistogram(Query{App: app})
-	t := Trend{Years: len(ys)}
-	if len(ys) == 0 {
-		return t
-	}
-	t.PeakYear = ys[0].Year
-	peak := ys[0].Count
-	for _, yc := range ys[1:] {
-		if yc.Count > peak {
-			peak = yc.Count
-			t.PeakYear = yc.Year
-		}
-	}
-	if len(ys) < 2 {
-		return t
-	}
-	// OLS over (year, count), including zero-count years inside the span.
-	first, last := ys[0].Year, ys[len(ys)-1].Year
-	counts := map[int]int{}
-	for _, yc := range ys {
-		counts[yc.Year] = yc.Count
-	}
-	var xs, vals []float64
-	for y := first; y <= last; y++ {
-		xs = append(xs, float64(y))
-		vals = append(vals, float64(counts[y]))
-	}
-	var mx, my float64
-	for i := range xs {
-		mx += xs[i]
-		my += vals[i]
-	}
-	mx /= float64(len(xs))
-	my /= float64(len(xs))
-	var sxx, sxy float64
-	for i := range xs {
-		sxx += (xs[i] - mx) * (xs[i] - mx)
-		sxy += (xs[i] - mx) * (vals[i] - my)
-	}
-	if sxx > 0 {
-		t.Slope = sxy / sxx
-	}
-	// Post-peak mean rate.
-	postYears, postSum := 0, 0
-	for y := t.PeakYear + 1; y <= last; y++ {
-		postYears++
-		postSum += counts[y]
-	}
-	if postYears > 0 {
-		postMean := float64(postSum) / float64(postYears)
-		t.Converging = postMean < float64(peak) && t.Slope <= 0
-	}
-	return t
-}

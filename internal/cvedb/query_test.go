@@ -148,85 +148,3 @@ func TestTopCWEs(t *testing.T) {
 		t.Fatalf("all = %+v", all)
 	}
 }
-
-func trendDB(t *testing.T, counts map[int]int) *DB {
-	t.Helper()
-	db := New()
-	if err := db.AddApp(App{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	for year, n := range counts {
-		for k := 0; k < n; k++ {
-			i++
-			rec := Record{
-				ID:  "CVE-" + string(rune('A'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('0'+i%10)),
-				App: "x", Published: date(year, 1+k%12, 1), CWE: 20,
-				V3: "AV:N/AC:L/PR:N/UI:N/S:U/C:L/I:N/A:N", Score: 5.3,
-			}
-			rec.ID = rec.ID + string(rune('0'+(i/10)%10))
-			if err := db.AddRecord(rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return db
-}
-
-func TestTrendConverging(t *testing.T) {
-	db := trendDB(t, map[int]int{2008: 2, 2009: 8, 2010: 5, 2011: 3, 2012: 1})
-	tr := db.TrendFor("x")
-	if tr.PeakYear != 2009 {
-		t.Fatalf("peak = %d", tr.PeakYear)
-	}
-	if !tr.Converging {
-		t.Fatalf("should converge: %+v", tr)
-	}
-	if tr.Slope >= 0 {
-		t.Fatalf("slope = %v, want negative", tr.Slope)
-	}
-	if tr.Years != 5 {
-		t.Fatalf("years = %d", tr.Years)
-	}
-}
-
-func TestTrendDiverging(t *testing.T) {
-	db := trendDB(t, map[int]int{2010: 1, 2011: 3, 2012: 6, 2013: 10})
-	tr := db.TrendFor("x")
-	if tr.Converging {
-		t.Fatalf("rising history marked converging: %+v", tr)
-	}
-	if tr.Slope <= 0 {
-		t.Fatalf("slope = %v, want positive", tr.Slope)
-	}
-	if tr.PeakYear != 2013 {
-		t.Fatalf("peak = %d", tr.PeakYear)
-	}
-}
-
-func TestTrendGapsCountAsZero(t *testing.T) {
-	// 2010: 6, silence, 2014: 1 — the gap years pull the slope negative.
-	db := trendDB(t, map[int]int{2010: 6, 2014: 1})
-	tr := db.TrendFor("x")
-	if tr.Slope >= 0 {
-		t.Fatalf("slope with gap = %v", tr.Slope)
-	}
-	if !tr.Converging {
-		t.Fatalf("tapering history not converging: %+v", tr)
-	}
-}
-
-func TestTrendDegenerate(t *testing.T) {
-	db := trendDB(t, map[int]int{2012: 4})
-	tr := db.TrendFor("x")
-	if tr.Slope != 0 || tr.Converging || tr.Years != 1 {
-		t.Fatalf("single-year trend = %+v", tr)
-	}
-	empty := New()
-	if err := empty.AddApp(App{Name: "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if tr := empty.TrendFor("y"); tr.Years != 0 || tr.Slope != 0 {
-		t.Fatalf("empty trend = %+v", tr)
-	}
-}

@@ -2,12 +2,13 @@ package cvss
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
 // V2 metric enumerations. CVSS v2.0 predates the PR/UI/S split; its base
-// vector is AV/AC/Au/C/I/A. Older CVE entries in the corpus carry v2 vectors.
+// vector is AV/AC/Au/C/I/A. Older CVE entries in the corpus carry v2
+// vectors; records read only their access vector, so no v2 score is
+// computed.
 
 // V2AccessVector is the v2 analogue of AttackVector.
 type V2AccessVector int
@@ -80,96 +81,6 @@ func (v V2) Validate() error {
 		return fmt.Errorf("cvss: v2 vector missing A")
 	}
 	return nil
-}
-
-func (v V2) avWeight() float64 {
-	switch v.AV {
-	case V2AVNetwork:
-		return 1.0
-	case V2AVAdjacent:
-		return 0.646
-	case V2AVLocal:
-		return 0.395
-	}
-	return 0
-}
-
-func (v V2) acWeight() float64 {
-	switch v.AC {
-	case V2ACLow:
-		return 0.71
-	case V2ACMedium:
-		return 0.61
-	case V2ACHigh:
-		return 0.35
-	}
-	return 0
-}
-
-func (v V2) auWeight() float64 {
-	switch v.Au {
-	case V2AuNone:
-		return 0.704
-	case V2AuSingle:
-		return 0.56
-	case V2AuMultiple:
-		return 0.45
-	}
-	return 0
-}
-
-func v2ImpactWeight(i V2Impact) float64 {
-	switch i {
-	case V2ImpactComplete:
-		return 0.660
-	case V2ImpactPartial:
-		return 0.275
-	case V2ImpactNone:
-		return 0
-	}
-	return 0
-}
-
-// Impact returns the v2 impact sub-score.
-func (v V2) Impact() float64 {
-	return 10.41 * (1 - (1-v2ImpactWeight(v.C))*(1-v2ImpactWeight(v.I))*(1-v2ImpactWeight(v.A)))
-}
-
-// Exploitability returns the v2 exploitability sub-score.
-func (v V2) Exploitability() float64 {
-	return 20 * v.avWeight() * v.acWeight() * v.auWeight()
-}
-
-// BaseScore computes the CVSS v2.0 base score per the specification:
-// round_to_1_decimal(((0.6*Impact)+(0.4*Exploitability)-1.5)*f(Impact)).
-func (v V2) BaseScore() (float64, error) {
-	if err := v.Validate(); err != nil {
-		return 0, err
-	}
-	impact := v.Impact()
-	fImpact := 1.176
-	if impact == 0 {
-		fImpact = 0
-	}
-	raw := ((0.6 * impact) + (0.4 * v.Exploitability()) - 1.5) * fImpact
-	// Round to one decimal (nearest, per v2 spec).
-	score := math.Round(raw*10) / 10
-	if score < 0 {
-		score = 0
-	}
-	if score > 10 {
-		score = 10
-	}
-	return score, nil
-}
-
-// MustBaseScore panics if the vector is invalid.
-func (v V2) MustBaseScore() float64 {
-	s, err := v.BaseScore()
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // String renders the v2 vector in the standard "(AV:N/AC:L/Au:N/C:P/I:P/A:P)"

@@ -1,7 +1,7 @@
-// Package dataflow implements the classic forward/backward data-flow
-// analyses over the IR — reaching definitions, live variables, def-use
-// chains — plus a taint analysis that propagates attacker-controlled data
-// from sources (parameters, input functions) to sinks (dangerous calls).
+// Package dataflow implements live-variable analysis and dead-store
+// detection over the IR, plus a taint analysis that propagates
+// attacker-controlled data from sources (parameters, input functions) to
+// sinks (dangerous calls).
 // The paper cites precise interprocedural dataflow (Reps et al.) as one of
 // the signal families worth feeding the model (§4.1).
 package dataflow
@@ -23,29 +23,6 @@ type Def struct {
 // String renders "x@block2[3]".
 func (d Def) String() string {
 	return fmt.Sprintf("%s@%s[%d]", d.Var, d.Block.Name, d.Index)
-}
-
-// defSet is a set of definitions.
-type defSet map[Def]bool
-
-func (s defSet) clone() defSet {
-	out := make(defSet, len(s))
-	for d := range s {
-		out[d] = true
-	}
-	return out
-}
-
-func (s defSet) equal(o defSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for d := range s {
-		if !o[d] {
-			return false
-		}
-	}
-	return true
 }
 
 // destName returns the defined variable name of an instruction, treating
@@ -92,148 +69,6 @@ func termUses(t ir.Terminator) []string {
 			out = append(out, v.Name)
 		case ir.Temp:
 			out = append(out, v.String())
-		}
-	}
-	return out
-}
-
-// Reaching holds reaching-definitions results: the set of definitions live
-// at the entry and exit of every block.
-type Reaching struct {
-	In, Out map[*ir.Block]defSet
-	// ParamDefs are the synthetic entry definitions of parameters.
-	ParamDefs []Def
-}
-
-// ReachingDefinitions computes the forward may-analysis to a fixpoint.
-// Parameters receive synthetic definitions at index -1 in the entry block.
-func ReachingDefinitions(f *ir.Func) *Reaching {
-	r := &Reaching{In: map[*ir.Block]defSet{}, Out: map[*ir.Block]defSet{}}
-	gen := map[*ir.Block]defSet{}
-	kill := map[*ir.Block]map[string]bool{}
-
-	// All defs per var, for kill sets.
-	defsOf := map[string][]Def{}
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			if name, ok := destName(in); ok {
-				defsOf[name] = append(defsOf[name], Def{Block: b, Index: i, Var: name})
-			}
-		}
-	}
-	for _, p := range f.Params {
-		d := Def{Block: f.Entry(), Index: -1, Var: p}
-		r.ParamDefs = append(r.ParamDefs, d)
-		defsOf[p] = append(defsOf[p], d)
-	}
-
-	for _, b := range f.Blocks {
-		g := defSet{}
-		k := map[string]bool{}
-		for i, in := range b.Instrs {
-			name, ok := destName(in)
-			if !ok {
-				continue
-			}
-			// Array stores are weak updates: they generate but do not kill.
-			if _, isStore := in.(*ir.ArrayStore); !isStore {
-				// Remove earlier gens of the same var from this block.
-				for d := range g {
-					if d.Var == name {
-						delete(g, d)
-					}
-				}
-				k[name] = true
-			}
-			g[Def{Block: b, Index: i, Var: name}] = true
-		}
-		gen[b] = g
-		kill[b] = k
-	}
-
-	// Entry starts with parameter definitions.
-	entryIn := defSet{}
-	for _, d := range r.ParamDefs {
-		entryIn[d] = true
-	}
-	for _, b := range f.Blocks {
-		r.In[b] = defSet{}
-		r.Out[b] = defSet{}
-	}
-	r.In[f.Entry()] = entryIn
-
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range f.Blocks {
-			in := defSet{}
-			if b == f.Entry() {
-				in = entryIn.clone()
-			}
-			for _, p := range b.Preds {
-				for d := range r.Out[p] {
-					in[d] = true
-				}
-			}
-			out := gen[b].clone()
-			for d := range in {
-				if !kill[b][d.Var] {
-					out[d] = true
-				}
-			}
-			if !in.equal(r.In[b]) || !out.equal(r.Out[b]) {
-				r.In[b] = in
-				r.Out[b] = out
-				changed = true
-			}
-		}
-	}
-	return r
-}
-
-// UseDefChains maps every use site to the definitions that may reach it.
-type UseSite struct {
-	Block *ir.Block
-	Index int // -1 for the terminator
-	Var   string
-}
-
-// Chains computes the use-def chains of f.
-func Chains(f *ir.Func) map[UseSite][]Def {
-	r := ReachingDefinitions(f)
-	out := map[UseSite][]Def{}
-	for _, b := range f.Blocks {
-		// Walk instructions tracking the local reaching state.
-		local := r.In[b].clone()
-		for i, in := range b.Instrs {
-			for _, name := range useNames(in) {
-				site := UseSite{Block: b, Index: i, Var: name}
-				for d := range local {
-					if d.Var == name {
-						out[site] = append(out[site], d)
-					}
-				}
-				sortDefs(out[site])
-			}
-			if name, ok := destName(in); ok {
-				if _, isStore := in.(*ir.ArrayStore); !isStore {
-					for d := range local {
-						if d.Var == name {
-							delete(local, d)
-						}
-					}
-				}
-				local[Def{Block: b, Index: i, Var: name}] = true
-			}
-		}
-		for _, name := range termUses(b.Term) {
-			site := UseSite{Block: b, Index: -1, Var: name}
-			for d := range local {
-				if d.Var == name {
-					out[site] = append(out[site], d)
-				}
-			}
-			sortDefs(out[site])
 		}
 	}
 	return out

@@ -11,124 +11,6 @@ func lower(t *testing.T, src string) *ir.Func {
 	return ir.MustLowerSource(src).Funcs[0]
 }
 
-func TestReachingStraightLine(t *testing.T) {
-	f := lower(t, `
-int f(int a) {
-	int x = 1;
-	x = 2;
-	return x;
-}`)
-	r := ReachingDefinitions(f)
-	entry := f.Entry()
-	// At exit: only the second definition of x reaches (plus 'a' param and temps).
-	var xDefs []Def
-	for d := range r.Out[entry] {
-		if d.Var == "x" {
-			xDefs = append(xDefs, d)
-		}
-	}
-	if len(xDefs) != 1 {
-		t.Fatalf("x defs at exit = %v", xDefs)
-	}
-}
-
-func TestReachingMerge(t *testing.T) {
-	f := lower(t, `
-int f(int c) {
-	int x = 0;
-	if (c) { x = 1; } else { x = 2; }
-	return x;
-}`)
-	r := ReachingDefinitions(f)
-	// At the join block, both branch definitions reach.
-	var join *ir.Block
-	for _, b := range f.Blocks {
-		if len(b.Preds) == 2 {
-			join = b
-		}
-	}
-	if join == nil {
-		t.Fatal("no join block")
-	}
-	count := 0
-	for d := range r.In[join] {
-		if d.Var == "x" {
-			count++
-		}
-	}
-	if count != 2 {
-		t.Fatalf("x defs at join = %d, want 2", count)
-	}
-}
-
-func TestReachingParams(t *testing.T) {
-	f := lower(t, "int f(int a) { return a; }")
-	r := ReachingDefinitions(f)
-	if len(r.ParamDefs) != 1 || r.ParamDefs[0].Var != "a" || r.ParamDefs[0].Index != -1 {
-		t.Fatalf("param defs = %v", r.ParamDefs)
-	}
-	found := false
-	for d := range r.In[f.Entry()] {
-		if d.Var == "a" && d.Index == -1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("param def missing at entry")
-	}
-}
-
-func TestReachingLoop(t *testing.T) {
-	f := lower(t, `
-int f(int n) {
-	int s = 0;
-	while (n) { s = s + 1; n = n - 1; }
-	return s;
-}`)
-	r := ReachingDefinitions(f)
-	// In the loop condition block, both the initial def of s and the
-	// loop-body def must reach (the fixpoint crosses the back edge).
-	var cond *ir.Block
-	for _, b := range f.Blocks {
-		if len(b.Preds) == 2 {
-			cond = b
-		}
-	}
-	if cond == nil {
-		t.Fatal("no cond block")
-	}
-	count := 0
-	for d := range r.In[cond] {
-		if d.Var == "s" {
-			count++
-		}
-	}
-	if count != 2 {
-		t.Fatalf("s defs at loop head = %d, want 2", count)
-	}
-}
-
-func TestChains(t *testing.T) {
-	f := lower(t, `
-int f(int c) {
-	int x = 1;
-	if (c) { x = 2; }
-	int y = x;
-	return y;
-}`)
-	chains := Chains(f)
-	// Find the use of x in the assignment to y: it should see 2 defs.
-	found := false
-	for site, defs := range chains {
-		if site.Var == "x" && len(defs) == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no merged use of x: %v", chains)
-	}
-}
-
 func TestLiveness(t *testing.T) {
 	f := lower(t, `
 int f(int a, int b) {

@@ -18,10 +18,13 @@
 // entry a later run would trust. Unreadable or corrupt entries still read
 // as misses (the cache recomputes rather than serving garbage), but
 // corruption is counted (CorruptReads) so an operator sees it instead of
-// it hiding inside the miss rate.
+// it hiding inside the miss rate. A JSON entry is corrupt unless it is
+// byte-for-byte the encoding of the value it decodes to; that catches
+// structural damage, not a digit changed to another valid digit.
 package featcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -182,8 +185,13 @@ func (c *Cache) Put(key string, data []byte) error {
 	return nil
 }
 
-// GetJSON decodes the entry for key into v. Corrupt entries read as
-// misses so the caller recomputes, but each such read is counted in
+// GetJSON decodes the entry for key into v, which must be a pointer to a
+// zero value of the type PutJSON stored. The entry counts only when
+// re-encoding the decoded value reproduces the stored bytes exactly:
+// json.Unmarshal alone accepts null, {}, missing or unknown fields and
+// trailing blanks, and would serve such a record as a hit with zeroed
+// fields. Corrupt entries read as misses so the caller recomputes (and its
+// PutJSON overwrites the bad record), but each such read is counted in
 // CorruptReads — silent corruption would otherwise be indistinguishable
 // from a cold cache.
 func (c *Cache) GetJSON(key string, v any) bool {
@@ -191,7 +199,11 @@ func (c *Cache) GetJSON(key string, v any) bool {
 	if !ok {
 		return false
 	}
-	if err := json.Unmarshal(data, v); err != nil {
+	if json.Unmarshal(data, v) != nil {
+		c.corrupt.Add(1)
+		return false
+	}
+	if enc, err := json.Marshal(v); err != nil || !bytes.Equal(enc, data) {
 		c.corrupt.Add(1)
 		return false
 	}

@@ -225,18 +225,6 @@ type Func struct {
 // Entry returns the entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
 
-// ParamIndex returns the position of name in the parameter list, or -1 when
-// name is not a parameter. Interprocedural analyses use it to map a callee's
-// formal back to the caller's actual.
-func (f *Func) ParamIndex(name string) int {
-	for i, p := range f.Params {
-		if p == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Program is a lowered translation unit.
 type Program struct {
 	Funcs   []*Func

@@ -63,7 +63,7 @@ func TestGeneratedMiniCLowersAndAnalyzes(t *testing.T) {
 			t.Fatalf("%s does not lower: %v", f.Path, err)
 		}
 		for _, fn := range lowered.Funcs {
-			dataflow.ReachingDefinitions(fn) // must not panic or loop
+			dataflow.LiveVariables(fn) // must not panic or loop
 		}
 	}
 }

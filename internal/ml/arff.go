@@ -57,121 +57,3 @@ func sanitizeARFF(s string) string {
 	}
 	return sb.String()
 }
-
-// ReadARFF parses the subset of ARFF that WriteARFF emits: numeric
-// attributes with the final attribute as the label — nominal for
-// classification, numeric for regression. It closes the loop for
-// round-trip tests and for re-importing Weka-edited datasets.
-func ReadARFF(r io.Reader) (*Dataset, error) {
-	type attr struct {
-		name    string
-		nominal []string // nil for numeric
-	}
-	var attrs []attr
-	var rows [][]string
-	inData := false
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue
-		}
-		upper := strings.ToUpper(line)
-		switch {
-		case strings.HasPrefix(upper, "@RELATION"):
-			// name ignored
-		case strings.HasPrefix(upper, "@ATTRIBUTE"):
-			if inData {
-				return nil, fmt.Errorf("ml: arff line %d: attribute after @DATA", lineNo)
-			}
-			rest := strings.TrimSpace(line[len("@ATTRIBUTE"):])
-			fields := strings.Fields(rest)
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("ml: arff line %d: malformed attribute", lineNo)
-			}
-			name := fields[0]
-			typ := strings.Join(fields[1:], " ")
-			switch {
-			case strings.HasPrefix(typ, "{"):
-				inner := strings.Trim(typ, "{}")
-				var vals []string
-				for _, c := range strings.Split(inner, ",") {
-					vals = append(vals, strings.TrimSpace(c))
-				}
-				if len(vals) == 0 {
-					return nil, fmt.Errorf("ml: arff line %d: empty nominal set", lineNo)
-				}
-				attrs = append(attrs, attr{name: name, nominal: vals})
-			case strings.EqualFold(typ, "NUMERIC"):
-				attrs = append(attrs, attr{name: name})
-			default:
-				return nil, fmt.Errorf("ml: arff line %d: unsupported type %q", lineNo, typ)
-			}
-		case strings.HasPrefix(upper, "@DATA"):
-			inData = true
-		default:
-			if !inData {
-				return nil, fmt.Errorf("ml: arff line %d: unexpected %q", lineNo, line)
-			}
-			parts := strings.Split(line, ",")
-			if len(parts) != len(attrs) {
-				return nil, fmt.Errorf("ml: arff line %d: %d fields, want %d", lineNo, len(parts), len(attrs))
-			}
-			for i := range parts {
-				parts[i] = strings.TrimSpace(parts[i])
-			}
-			rows = append(rows, parts)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(attrs) < 2 {
-		return nil, fmt.Errorf("ml: arff needs at least one feature and a label")
-	}
-	for _, a := range attrs[:len(attrs)-1] {
-		if a.nominal != nil {
-			return nil, fmt.Errorf("ml: arff feature %q is nominal; only the label may be", a.name)
-		}
-	}
-	label := attrs[len(attrs)-1]
-	attrNames := make([]string, len(attrs)-1)
-	for i, a := range attrs[:len(attrs)-1] {
-		attrNames[i] = a.name
-	}
-	X := make([][]float64, 0, len(rows))
-	Y := make([]float64, 0, len(rows))
-	for rIdx, parts := range rows {
-		row := make([]float64, len(attrNames))
-		for i := range attrNames {
-			if _, err := fmt.Sscanf(parts[i], "%g", &row[i]); err != nil {
-				return nil, fmt.Errorf("ml: arff row %d col %d: %w", rIdx+1, i, err)
-			}
-		}
-		last := parts[len(parts)-1]
-		if label.nominal != nil {
-			idx := -1
-			for c, name := range label.nominal {
-				if name == last {
-					idx = c
-				}
-			}
-			if idx < 0 {
-				return nil, fmt.Errorf("ml: arff row %d: unknown class %q", rIdx+1, last)
-			}
-			Y = append(Y, float64(idx))
-		} else {
-			var v float64
-			if _, err := fmt.Sscanf(last, "%g", &v); err != nil {
-				return nil, fmt.Errorf("ml: arff row %d: bad target %q", rIdx+1, last)
-			}
-			Y = append(Y, v)
-		}
-		X = append(X, row)
-	}
-	return NewDataset(attrNames, label.nominal, X, Y)
-}

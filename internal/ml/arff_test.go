@@ -1,127 +1,55 @@
 package ml
 
+// WriteARFF is the only ARFF path (trainctl -arff), so its bytes are pinned
+// in testdata rather than read back by a parser. The golden files are small
+// enough to check against the ARFF grammar by eye; edit them by hand when
+// the export format is meant to change.
+
 import (
 	"bytes"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
-
-	"repro/internal/stats"
 )
 
-func TestARFFRoundTripClassification(t *testing.T) {
-	d := linearDataset(40, stats.NewRNG(1))
+func checkARFFGolden(t *testing.T, name, relation string, d *Dataset) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteARFF(&buf, "secmetric corpus", d); err != nil {
+	if err := WriteARFF(&buf, relation, d); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"@RELATION secmetric_corpus", "@ATTRIBUTE x0 NUMERIC",
-		"@ATTRIBUTE class {neg,pos}", "@DATA"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("arff missing %q:\n%s", want, out[:200])
-		}
-	}
-	back, err := ReadARFF(&buf)
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.N() != d.N() || back.P() != d.P() {
-		t.Fatalf("shape = %dx%d, want %dx%d", back.N(), back.P(), d.N(), d.P())
-	}
-	for i := range d.Y {
-		if back.Y[i] != d.Y[i] {
-			t.Fatalf("label %d drifted", i)
-		}
-		for j := range d.X[i] {
-			if diff := back.X[i][j] - d.X[i][j]; diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("value %d,%d drifted: %v vs %v", i, j, back.X[i][j], d.X[i][j])
-			}
-		}
-	}
-	if back.ClassNames[0] != "neg" || back.ClassNames[1] != "pos" {
-		t.Fatalf("classes = %v", back.ClassNames)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteARFF output differs from testdata/%s:\ngot:\n%s\nwant:\n%s", name, buf.Bytes(), want)
 	}
 }
 
-func TestARFFRoundTripRegression(t *testing.T) {
+func TestWriteARFFNominalGolden(t *testing.T) {
+	X := [][]float64{{1.5, -2}, {0, 3.25}, {1e-7, 12345678}}
+	d, err := NewDataset([]string{"x0", "x1"}, []string{"neg", "pos"}, X, []float64{1, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkARFFGolden(t, "nominal.golden.arff", "secmetric corpus", d)
+}
+
+func TestWriteARFFNumericGolden(t *testing.T) {
 	X := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	Y := []float64{0.5, -1.25, 100}
-	d, err := NewDataset([]string{"a", "b"}, nil, X, Y)
+	d, err := NewDataset([]string{"a", "b"}, nil, X, []float64{0.5, -1.25, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteARFF(&buf, "reg", d); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadARFF(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.IsClassification() {
-		t.Fatal("regression file read as classification")
-	}
-	for i := range Y {
-		if back.Y[i] != Y[i] {
-			t.Fatalf("target %d = %v, want %v", i, back.Y[i], Y[i])
-		}
-	}
+	checkARFFGolden(t, "numeric.golden.arff", "reg", d)
 }
 
 func TestARFFSanitization(t *testing.T) {
-	X := [][]float64{{1}}
-	d, err := NewDataset([]string{"weird name!"}, []string{"a b", "c,d"}, X, []float64{0})
+	X := [][]float64{{1, 2}, {3, 4}}
+	d, err := NewDataset([]string{"weird name!", ""}, []string{"a b", "c,d"}, X, []float64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteARFF(&buf, "rel with spaces", d); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if strings.Contains(out, "weird name!") || strings.Contains(out, "c,d") {
-		t.Fatalf("unsanitized output:\n%s", out)
-	}
-	// And it must still be parseable.
-	if _, err := ReadARFF(&buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadARFFErrors(t *testing.T) {
-	bad := []string{
-		"@DATA\n1,2\n",                                           // no attributes
-		"@ATTRIBUTE x NUMERIC\n@DATA\n1\n",                       // only one attribute
-		"@ATTRIBUTE x STRING\n@DATA\n",                           // unsupported type
-		"@ATTRIBUTE x NUMERIC\n@ATTRIBUTE c {a,b}\n@DATA\n1\n",   // wrong arity
-		"@ATTRIBUTE x NUMERIC\n@ATTRIBUTE c {a,b}\n@DATA\n1,z\n", // unknown class
-		"@ATTRIBUTE c {a,b}\n@ATTRIBUTE x NUMERIC\n@DATA\n",      // nominal feature
-		"garbage before data\n",
-	}
-	for _, s := range bad {
-		if _, err := ReadARFF(strings.NewReader(s)); err == nil {
-			t.Errorf("ReadARFF(%q) succeeded", s)
-		}
-	}
-}
-
-func TestReadARFFSkipsComments(t *testing.T) {
-	src := `% a comment
-@RELATION r
-
-@ATTRIBUTE x NUMERIC
-@ATTRIBUTE class {no,yes}
-
-@DATA
-% another comment
-1.5,yes
-2.5,no
-`
-	d, err := ReadARFF(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N() != 2 || d.Y[0] != 1 || d.Y[1] != 0 {
-		t.Fatalf("parsed = %+v", d)
-	}
+	checkARFFGolden(t, "sanitize.golden.arff", "rel with spaces", d)
 }

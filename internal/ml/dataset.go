@@ -1,7 +1,8 @@
 // Package ml is a self-contained machine-learning library standing in for
 // the Weka toolkit in the paper's Figure 4 pipeline: datasets with named
-// attributes, preprocessing filters, a family of classifiers and regressors,
-// stratified cross validation, and the standard evaluation metrics.
+// attributes, preprocessing filters, a family of classifiers, the linear
+// regressor that predicts vulnerability counts, stratified cross
+// validation, and the standard evaluation metrics.
 package ml
 
 import (

@@ -284,7 +284,7 @@ type RegressionMetrics struct {
 }
 
 // EvaluateRegressor tests a fitted regressor.
-func EvaluateRegressor(r Regressor, test *Dataset) RegressionMetrics {
+func EvaluateRegressor(r *LinearRegressor, test *Dataset) RegressionMetrics {
 	var sqe, abse float64
 	preds := make([]float64, test.N())
 	for i, row := range test.X {

@@ -136,55 +136,6 @@ func TestLinearRegressorRejectsClassification(t *testing.T) {
 	}
 }
 
-func TestRegressionTree(t *testing.T) {
-	rng := stats.NewRNG(7)
-	n := 400
-	X := make([][]float64, n)
-	Y := make([]float64, n)
-	for i := range X {
-		x := rng.Range(0, 10)
-		X[i] = []float64{x}
-		// Step function: trees should nail this, lines cannot.
-		if x > 5 {
-			Y[i] = 10
-		} else {
-			Y[i] = -10
-		}
-	}
-	d, _ := NewDataset([]string{"x"}, nil, X, Y)
-	rt := &RegressionTree{}
-	if err := rt.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	m := EvaluateRegressor(rt, d)
-	if m.R2 < 0.95 {
-		t.Fatalf("tree R2 = %v", m.R2)
-	}
-	if p := rt.Predict([]float64{9}); math.Abs(p-10) > 1 {
-		t.Fatalf("predict(9) = %v", p)
-	}
-}
-
-func TestKNNRegressor(t *testing.T) {
-	rng := stats.NewRNG(8)
-	n := 300
-	X := make([][]float64, n)
-	Y := make([]float64, n)
-	for i := range X {
-		x := rng.Range(-3, 3)
-		X[i] = []float64{x}
-		Y[i] = x * x
-	}
-	d, _ := NewDataset([]string{"x"}, nil, X, Y)
-	kr := &KNNRegressor{K: 5}
-	if err := kr.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	if p := kr.Predict([]float64{2}); math.Abs(p-4) > 0.5 {
-		t.Fatalf("predict(2) = %v", p)
-	}
-}
-
 func TestRankFeatureWeights(t *testing.T) {
 	fw := RankFeatureWeights([]string{"a", "b", "c"}, []float64{0.1, -5, 2})
 	if fw[0].Name != "b" || fw[1].Name != "c" || fw[2].Name != "a" {

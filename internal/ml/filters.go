@@ -45,28 +45,6 @@ func (s *Standardizer) ApplyRow(row []float64) {
 	}
 }
 
-// LogTransform applies log10(1+x) to the named columns (x clamped at 0),
-// the transformation the paper's Figure 2/3 apply to heavy-tailed counts.
-func LogTransform(d *Dataset, cols []int) *Dataset {
-	out := d.Clone()
-	set := map[int]bool{}
-	for _, c := range cols {
-		set[c] = true
-	}
-	for _, row := range out.X {
-		for j := range row {
-			if set[j] {
-				v := row[j]
-				if v < 0 {
-					v = 0
-				}
-				row[j] = math.Log10(1 + v)
-			}
-		}
-	}
-	return out
-}
-
 // Discretizer buckets a numeric column into equal-frequency bins.
 type Discretizer struct {
 	Cuts []float64 // ascending cut points; value v maps to bin = #cuts <= v

@@ -30,27 +30,6 @@ func TestStandardizer(t *testing.T) {
 	}
 }
 
-func TestLogTransform(t *testing.T) {
-	X := [][]float64{{99, 10}, {0, 20}, {-5, 30}}
-	d, _ := NewDataset([]string{"a", "b"}, nil, X, []float64{0, 0, 0})
-	out := LogTransform(d, []int{0})
-	if out.X[0][0] != 2 { // log10(1+99)
-		t.Fatalf("log(99) -> %v", out.X[0][0])
-	}
-	if out.X[1][0] != 0 { // log10(1+0)
-		t.Fatalf("log(0) -> %v", out.X[1][0])
-	}
-	if out.X[2][0] != 0 { // clamped negative
-		t.Fatalf("log(-5) -> %v", out.X[2][0])
-	}
-	if out.X[0][1] != 10 { // untouched column
-		t.Fatal("untargeted column modified")
-	}
-	if d.X[0][0] != 99 {
-		t.Fatal("LogTransform mutated input")
-	}
-}
-
 func TestDiscretizer(t *testing.T) {
 	col := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	dz := FitDiscretizer(col, 4)

@@ -212,17 +212,39 @@ func UnmarshalClassifier(data []byte) (Classifier, error) {
 		if err := json.Unmarshal(env.Payload, &d); err != nil {
 			return nil, err
 		}
+		if d.K < 1 || len(d.Counts) != d.K || d.Majority < 0 || d.Majority >= d.K {
+			return nil, fmt.Errorf("%w: zeror with %d classes, %d counts, majority %d", ErrBinaryCorrupt, d.K, len(d.Counts), d.Majority)
+		}
 		return &ZeroR{Majority: d.Majority, K: d.K, counts: d.Counts}, nil
 	case "naivebayes":
 		var d nbDTO
 		if err := json.Unmarshal(env.Payload, &d); err != nil {
 			return nil, err
 		}
+		if d.K < 1 || len(d.Priors) != d.K || len(d.Mean) != d.K || len(d.Var) != d.K {
+			return nil, fmt.Errorf("%w: naive Bayes with %d classes has %d priors, %d means, %d variances",
+				ErrBinaryCorrupt, d.K, len(d.Priors), len(d.Mean), len(d.Var))
+		}
+		for c := range d.Mean {
+			if len(d.Mean[c]) != len(d.Mean[0]) || len(d.Var[c]) != len(d.Mean[0]) {
+				return nil, fmt.Errorf("%w: naive Bayes class %d has %d means and %d variances, want %d",
+					ErrBinaryCorrupt, c, len(d.Mean[c]), len(d.Var[c]), len(d.Mean[0]))
+			}
+		}
 		return &GaussianNB{K: d.K, Priors: d.Priors, Mean: d.Mean, Var: d.Var}, nil
 	case "logistic":
 		var d logisticDTO
 		if err := json.Unmarshal(env.Payload, &d); err != nil {
 			return nil, err
+		}
+		if d.K < 1 || len(d.W) != d.K || len(d.Std) != len(d.Mean) {
+			return nil, fmt.Errorf("%w: logistic with %d classes has %d weight rows, %d means, %d deviations",
+				ErrBinaryCorrupt, d.K, len(d.W), len(d.Mean), len(d.Std))
+		}
+		for c, w := range d.W {
+			if len(w) != len(d.Mean)+1 {
+				return nil, fmt.Errorf("%w: logistic weight row %d has %d entries, want %d", ErrBinaryCorrupt, c, len(w), len(d.Mean)+1)
+			}
 		}
 		return &Logistic{K: d.K, W: d.W, scaler: &Standardizer{Mean: d.Mean, Std: d.Std}}, nil
 	case "tree":
@@ -263,9 +285,13 @@ func UnmarshalClassifier(data []byte) (Classifier, error) {
 		if err := json.Unmarshal(env.Payload, &d); err != nil {
 			return nil, err
 		}
+		if d.K < 1 || len(d.Classes) == 0 || len(d.X) == 0 || len(d.Mean) != len(d.Attrs) || len(d.Std) != len(d.Attrs) {
+			return nil, fmt.Errorf("%w: kNN with k %d, %d classes, %d rows, %d attributes, %d means, %d deviations",
+				ErrBinaryCorrupt, d.K, len(d.Classes), len(d.X), len(d.Attrs), len(d.Mean), len(d.Std))
+		}
 		ds, err := NewDataset(d.Attrs, d.Classes, d.X, d.Y)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: kNN: %v", ErrBinaryCorrupt, err)
 		}
 		return &KNN{K: d.K, k: d.K, data: ds, scaler: &Standardizer{Mean: d.Mean, Std: d.Std}}, nil
 	default:
@@ -273,8 +299,46 @@ func UnmarshalClassifier(data []byte) (Classifier, error) {
 	}
 }
 
-// Regressor persistence (linear models only; tree/KNN regressors are
-// training-session artifacts in this system).
+// CheckShape reports whether a decoded classifier can score rows of width
+// feature columns into classes classes without reading past its
+// parameters or ignoring a column. Its class count must equal classes.
+// Naive Bayes, logistic and kNN must have been fitted on exactly width
+// columns; a tree model may split only on columns below width
+// (SplitWidth); ZeroR reads no columns.
+func CheckShape(c Classifier, classes, width int) error {
+	k, w := 0, -1 // w < 0: the classifier fixes no input width
+	switch m := c.(type) {
+	case *ZeroR:
+		k = m.K
+	case *GaussianNB:
+		k, w = m.K, len(m.Mean[0])
+	case *Logistic:
+		k, w = m.K, len(m.scaler.Mean)
+	case *KNN:
+		k, w = m.data.NumClasses(), m.data.P()
+	case *DecisionTree:
+		k = m.k
+	case *RandomForest:
+		k = m.k
+	case *AdaBoost:
+		k = m.k
+	default:
+		return fmt.Errorf("ml: no shape check for classifier %T", c)
+	}
+	if k != classes {
+		return fmt.Errorf("%d classes, want %d", k, classes)
+	}
+	if w >= 0 && w != width {
+		return fmt.Errorf("fitted on %d feature columns but has %d features", w, width)
+	}
+	if sw := SplitWidth(c); sw > width {
+		return fmt.Errorf("splits on feature column %d but has %d features", sw-1, width)
+	}
+	return nil
+}
+
+// Regressor persistence: the count model is the only regressor a trained
+// model carries.
 
 type linearDTO struct {
 	Coeffs []float64 `json:"coeffs"`
@@ -284,11 +348,7 @@ type linearDTO struct {
 }
 
 // MarshalRegressor serializes a fitted LinearRegressor.
-func MarshalRegressor(r Regressor) ([]byte, error) {
-	lr, ok := r.(*LinearRegressor)
-	if !ok {
-		return nil, fmt.Errorf("ml: cannot marshal regressor %T", r)
-	}
+func MarshalRegressor(lr *LinearRegressor) ([]byte, error) {
 	if len(lr.fit.Coeffs) == 0 {
 		return nil, fmt.Errorf("ml: marshal of unfitted LinearRegressor")
 	}
@@ -300,7 +360,7 @@ func MarshalRegressor(r Regressor) ([]byte, error) {
 }
 
 // UnmarshalRegressor restores a regressor serialized by MarshalRegressor.
-func UnmarshalRegressor(data []byte) (Regressor, error) {
+func UnmarshalRegressor(data []byte) (*LinearRegressor, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("ml: unmarshal envelope: %w", err)

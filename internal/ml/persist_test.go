@@ -76,6 +76,106 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsMisshapenPayloads: the non-tree payloads carry
+// dimensions that prediction indexes by (class count, weight rows, per-class
+// means and variances, neighbour rows). A payload whose dimensions disagree
+// decodes to a classifier that panics on its first prediction, so decode
+// refuses it with ErrBinaryCorrupt, directly and through the binary
+// container's JSON fallback.
+func TestUnmarshalRejectsMisshapenPayloads(t *testing.T) {
+	good := map[string]string{
+		"zeror":      `{"majority":1,"k":2,"counts":[3,4]}`,
+		"naivebayes": `{"k":2,"priors":[0.5,0.5],"mean":[[0,1],[1,0]],"var":[[1,1],[1,1]]}`,
+		"logistic":   `{"k":2,"w":[[0,1,2],[0,2,1]],"mean":[0,0],"std":[1,1]}`,
+		"knn":        `{"k":1,"mean":[0],"std":[1],"attrs":["a"],"classes":["no","yes"],"x":[[0],[1]],"y":[0,1]}`,
+	}
+	bad := map[string][]string{
+		"zeror": {
+			`{"majority":0,"k":0,"counts":[]}`,
+			`{"majority":1,"k":2,"counts":[3]}`,
+			`{"majority":2,"k":2,"counts":[3,4]}`,
+			`{"majority":-1,"k":2,"counts":[3,4]}`,
+		},
+		"naivebayes": {
+			`{"k":0,"priors":[],"mean":[],"var":[]}`,
+			`{"k":2,"priors":[0.5],"mean":[[0,1],[1,0]],"var":[[1,1],[1,1]]}`,
+			`{"k":2,"priors":[0.5,0.5],"mean":[[0,1]],"var":[[1,1],[1,1]]}`,
+			`{"k":2,"priors":[0.5,0.5],"mean":[[0,1],[1,0]],"var":[[1,1],[1]]}`,
+			`{"k":2,"priors":[0.5,0.5],"mean":[[0,1],[1]],"var":[[1,1],[1]]}`,
+		},
+		"logistic": {
+			`{"k":1,"w":[[0,1,2],[0,2,1]],"mean":[0,0],"std":[1,1]}`,
+			`{"k":3,"w":[[0,1,2],[0,2,1]],"mean":[0,0],"std":[1,1]}`,
+			`{"k":2,"w":[[0,1,2],[0,2]],"mean":[0,0],"std":[1,1]}`,
+			`{"k":2,"w":[[0,1,2],[0,2,1]],"mean":[0,0],"std":[1]}`,
+			`{"k":2,"w":[[],[]],"mean":[],"std":[]}`,
+		},
+		"knn": {
+			`{"k":0,"mean":[0],"std":[1],"attrs":["a"],"classes":["no","yes"],"x":[[0],[1]],"y":[0,1]}`,
+			`{"k":1,"mean":[0],"std":[1],"attrs":["a"],"classes":[],"x":[[0],[1]],"y":[0,1]}`,
+			`{"k":1,"mean":[0],"std":[1],"attrs":["a"],"classes":["no","yes"],"x":[],"y":[]}`,
+			`{"k":1,"mean":[],"std":[1],"attrs":["a"],"classes":["no","yes"],"x":[[0],[1]],"y":[0,1]}`,
+			`{"k":1,"mean":[0],"std":[1],"attrs":["a"],"classes":["no","yes"],"x":[[0],[1]],"y":[0,2]}`,
+		},
+	}
+	for kind, payload := range good {
+		if _, err := UnmarshalClassifier([]byte(`{"kind":"` + kind + `","payload":` + payload + `}`)); err != nil {
+			t.Errorf("%s: consistent payload refused: %v", kind, err)
+		}
+	}
+	for kind, payloads := range bad {
+		for _, payload := range payloads {
+			blob := []byte(`{"kind":"` + kind + `","payload":` + payload + `}`)
+			if c, err := UnmarshalClassifier(blob); !errors.Is(err, ErrBinaryCorrupt) {
+				t.Errorf("%s %s: UnmarshalClassifier = %v, %v; want ErrBinaryCorrupt", kind, payload, c, err)
+			}
+			if c, err := UnmarshalClassifierBinary(append([]byte{binTagJSON}, blob...)); !errors.Is(err, ErrBinaryCorrupt) {
+				t.Errorf("%s %s: UnmarshalClassifierBinary = %v, %v; want ErrBinaryCorrupt", kind, payload, c, err)
+			}
+		}
+	}
+}
+
+// TestCheckShape: every fitted kind passes at its own class count and
+// width and fails at another class count. Naive Bayes, logistic and kNN
+// fix their input width exactly; trees only bound it from below by their
+// highest split column; ZeroR reads no columns.
+func TestCheckShape(t *testing.T) {
+	train := linearDataset(100, stats.NewRNG(2))
+	for _, tc := range []struct {
+		c     Classifier
+		exact bool
+	}{
+		{&ZeroR{}, false},
+		{&GaussianNB{}, true},
+		{&Logistic{Epochs: 20}, true},
+		{&KNN{K: 3}, true},
+		{&DecisionTree{}, false},
+		{&RandomForest{Trees: 3, Seed: 1}, false},
+		{&AdaBoost{Rounds: 3, Seed: 1}, false},
+	} {
+		if err := tc.c.Fit(train); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckShape(tc.c, 2, train.P()); err != nil {
+			t.Errorf("%s: own shape refused: %v", tc.c.Name(), err)
+		}
+		if err := CheckShape(tc.c, 3, train.P()); err == nil {
+			t.Errorf("%s: 3 classes accepted", tc.c.Name())
+		}
+		if err := CheckShape(tc.c, 2, train.P()+1); (err != nil) != tc.exact {
+			t.Errorf("%s: one extra feature column: err = %v", tc.c.Name(), err)
+		}
+	}
+	if err := CheckShape(&ZeroR{K: 2}, 2, 0); err != nil {
+		t.Errorf("ZeroR with no columns: %v", err)
+	}
+	tree := &DecisionTree{k: 2, root: &treeNode{attr: 4, left: &treeNode{leaf: true}, right: &treeNode{leaf: true}}}
+	if err := CheckShape(tree, 2, 4); err == nil {
+		t.Error("tree splitting on column 4 of 4 accepted")
+	}
+}
+
 // TestUnmarshalRejectsMalformedTrees: JSON tree payloads get the binary
 // codec's structural checks, so a tree, forest or AdaBoost stump that is
 // missing a node or carries a short leaf is refused at decode (directly

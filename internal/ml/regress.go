@@ -2,17 +2,9 @@ package ml
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/stats"
 )
-
-// Regressor predicts a continuous target.
-type Regressor interface {
-	Fit(d *Dataset) error
-	Predict(x []float64) float64
-	Name() string
-}
 
 // LinearRegressor is OLS (optionally ridge) multiple regression.
 type LinearRegressor struct {
@@ -20,9 +12,6 @@ type LinearRegressor struct {
 
 	fit stats.MultiFit
 }
-
-// Name implements Regressor.
-func (lr *LinearRegressor) Name() string { return "LinearRegression" }
 
 // Fit solves the normal equations.
 func (lr *LinearRegressor) Fit(d *Dataset) error {
@@ -40,191 +29,7 @@ func (lr *LinearRegressor) Fit(d *Dataset) error {
 // Predict evaluates the hyperplane.
 func (lr *LinearRegressor) Predict(x []float64) float64 { return lr.fit.Predict(x) }
 
-// R2 returns the training-set coefficient of determination.
-func (lr *LinearRegressor) R2() float64 { return lr.fit.R2 }
-
 // Coeffs returns the fitted coefficients (intercept first).
 func (lr *LinearRegressor) Coeffs() []float64 {
 	return append([]float64(nil), lr.fit.Coeffs...)
-}
-
-// RegressionTree is a CART regression tree splitting on variance reduction.
-type RegressionTree struct {
-	MaxDepth    int
-	MinLeafSize int
-
-	root *regNode
-}
-
-type regNode struct {
-	leaf      bool
-	value     float64
-	attr      int
-	threshold float64
-	left      *regNode
-	right     *regNode
-}
-
-// Name implements Regressor.
-func (t *RegressionTree) Name() string { return "RegressionTree" }
-
-// Fit grows the tree.
-func (t *RegressionTree) Fit(d *Dataset) error {
-	if d.IsClassification() {
-		return fmt.Errorf("ml: RegressionTree needs a regression dataset")
-	}
-	if d.N() == 0 {
-		return fmt.Errorf("ml: empty dataset")
-	}
-	if t.MaxDepth == 0 {
-		t.MaxDepth = 10
-	}
-	if t.MinLeafSize == 0 {
-		t.MinLeafSize = 3
-	}
-	idx := make([]int, d.N())
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = t.grow(d, idx, 0)
-	return nil
-}
-
-func (t *RegressionTree) grow(d *Dataset, idx []int, depth int) *regNode {
-	ys := make([]float64, len(idx))
-	for i, r := range idx {
-		ys[i] = d.Y[r]
-	}
-	mean := stats.Mean(ys)
-	if len(idx) <= t.MinLeafSize || depth >= t.MaxDepth || stats.Variance(ys) < 1e-12 {
-		return &regNode{leaf: true, value: mean}
-	}
-	parentSSE := sse(ys, mean)
-	bestGain := 0.0
-	bestAttr, bestThr := -1, 0.0
-	for j := 0; j < d.P(); j++ {
-		vals := make([]float64, len(idx))
-		for i, r := range idx {
-			vals[i] = d.X[r][j]
-		}
-		sort.Float64s(vals)
-		for v := 1; v < len(vals); v++ {
-			if vals[v] == vals[v-1] {
-				continue
-			}
-			mid := (vals[v] + vals[v-1]) / 2
-			var lys, rys []float64
-			for _, r := range idx {
-				if d.X[r][j] <= mid {
-					lys = append(lys, d.Y[r])
-				} else {
-					rys = append(rys, d.Y[r])
-				}
-			}
-			if len(lys) == 0 || len(rys) == 0 {
-				continue
-			}
-			g := parentSSE - sse(lys, stats.Mean(lys)) - sse(rys, stats.Mean(rys))
-			if g > bestGain {
-				bestGain, bestAttr, bestThr = g, j, mid
-			}
-		}
-	}
-	if bestAttr < 0 || bestGain <= 1e-12 {
-		return &regNode{leaf: true, value: mean}
-	}
-	var left, right []int
-	for _, r := range idx {
-		if d.X[r][bestAttr] <= bestThr {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
-	return &regNode{
-		attr:      bestAttr,
-		threshold: bestThr,
-		left:      t.grow(d, left, depth+1),
-		right:     t.grow(d, right, depth+1),
-	}
-}
-
-func sse(ys []float64, mean float64) float64 {
-	s := 0.0
-	for _, y := range ys {
-		s += (y - mean) * (y - mean)
-	}
-	return s
-}
-
-// Predict walks the tree.
-func (t *RegressionTree) Predict(x []float64) float64 {
-	n := t.root
-	for !n.leaf {
-		if x[n.attr] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
-}
-
-// KNNRegressor averages the targets of the k nearest training rows.
-type KNNRegressor struct {
-	K int
-
-	data   *Dataset
-	scaler *Standardizer
-}
-
-// Name implements Regressor.
-func (kr *KNNRegressor) Name() string { return "KNNRegressor" }
-
-// Fit memorizes the data.
-func (kr *KNNRegressor) Fit(d *Dataset) error {
-	if d.IsClassification() {
-		return fmt.Errorf("ml: KNNRegressor needs a regression dataset")
-	}
-	if d.N() == 0 {
-		return fmt.Errorf("ml: empty dataset")
-	}
-	if kr.K <= 0 {
-		kr.K = 5
-	}
-	kr.scaler = FitStandardizer(d)
-	kr.data = kr.scaler.Apply(d)
-	return nil
-}
-
-// Predict averages neighbour targets.
-func (kr *KNNRegressor) Predict(x []float64) float64 {
-	row := append([]float64(nil), x...)
-	kr.scaler.ApplyRow(row)
-	k := kr.K
-	if k > kr.data.N() {
-		k = kr.data.N()
-	}
-	type nb struct {
-		dist float64
-		y    float64
-	}
-	best := make([]nb, 0, k+1)
-	for i, tr := range kr.data.X {
-		d := sqDist(row, tr)
-		if len(best) < k || d < best[len(best)-1].dist {
-			best = append(best, nb{dist: d, y: kr.data.Y[i]})
-			for j := len(best) - 1; j > 0 && best[j].dist < best[j-1].dist; j-- {
-				best[j], best[j-1] = best[j-1], best[j]
-			}
-			if len(best) > k {
-				best = best[:k]
-			}
-		}
-	}
-	s := 0.0
-	for _, b := range best {
-		s += b.y
-	}
-	return s / float64(len(best))
 }

@@ -121,11 +121,6 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Spearman returns the Spearman rank correlation between xs and ys.
-func Spearman(xs, ys []float64) float64 {
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
 // Ranks returns the fractional ranks of xs (ties receive the average rank).
 func Ranks(xs []float64) []float64 {
 	n := len(xs)
@@ -148,32 +143,6 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// Histogram buckets xs into n equal-width bins spanning [min, max] and
-// returns the per-bin counts. Values equal to max land in the last bin.
-func Histogram(xs []float64, n int) []int {
-	if n <= 0 {
-		panic("stats: Histogram with non-positive bin count")
-	}
-	counts := make([]int, n)
-	if len(xs) == 0 {
-		return counts
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi {
-		counts[0] = len(xs)
-		return counts
-	}
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts
 }
 
 // Log10 returns log10 applied elementwise. Non-positive values are clamped

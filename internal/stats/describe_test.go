@@ -118,51 +118,6 @@ func TestRanksTies(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 10, 100, 1000, 10000} // monotone but nonlinear
-	if r := Spearman(xs, ys); !almostEqual(r, 1, 1e-12) {
-		t.Fatalf("Spearman = %v, want 1", r)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	counts := Histogram(xs, 2)
-	if counts[0]+counts[1] != len(xs) {
-		t.Fatalf("histogram loses mass: %v", counts)
-	}
-	if counts[0] != 5 || counts[1] != 5 {
-		t.Fatalf("histogram = %v, want [5 5]", counts)
-	}
-}
-
-func TestHistogramConstantInput(t *testing.T) {
-	counts := Histogram([]float64{2, 2, 2}, 4)
-	if counts[0] != 3 {
-		t.Fatalf("constant histogram = %v", counts)
-	}
-}
-
-func TestHistogramPreservesMass(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		n := int(seed%100) + 1
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Normal(0, 5)
-		}
-		total := 0
-		for _, c := range Histogram(xs, 7) {
-			total += c
-		}
-		return total == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLog10Clamping(t *testing.T) {
 	out := Log10([]float64{100, 0, 10})
 	if out[0] != 2 || out[2] != 1 {

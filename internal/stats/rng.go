@@ -91,41 +91,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Exponential returns a draw from an exponential distribution with the given
-// rate (lambda). The mean of the distribution is 1/rate.
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("stats: Exponential with non-positive rate")
-	}
-	return -math.Log(1-r.Float64()) / rate
-}
-
-// Poisson returns a draw from a Poisson distribution with the given mean.
-// Knuth's algorithm is used for small means and a normal approximation for
-// large ones.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		v := int(math.Round(r.Normal(mean, math.Sqrt(mean))))
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Geometric returns the number of failures before the first success in a
 // sequence of Bernoulli trials with success probability p.
 func (r *RNG) Geometric(p float64) int {

@@ -126,50 +126,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	for _, mean := range []float64{0.5, 4, 30, 200} {
-		r := NewRNG(23)
-		n := 20000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / float64(n)
-		if math.Abs(got-mean) > mean*0.05+0.1 {
-			t.Fatalf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := NewRNG(29)
-	for i := 0; i < 5000; i++ {
-		if v := r.Poisson(100); v < 0 {
-			t.Fatalf("Poisson returned %d", v)
-		}
-	}
-	if v := NewRNG(1).Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", v)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(31)
-	n := 50000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.Exponential(2)
-		if v < 0 {
-			t.Fatalf("Exponential returned negative %v", v)
-		}
-		sum += v
-	}
-	got := sum / float64(n)
-	if math.Abs(got-0.5) > 0.02 {
-		t.Fatalf("Exponential(2) mean = %v, want ~0.5", got)
-	}
-}
-
 func TestGeometric(t *testing.T) {
 	r := NewRNG(37)
 	if v := r.Geometric(1); v != 0 {

@@ -57,7 +57,6 @@ func decodeMeta(p []byte) (txid, root, pageCount uint64, ok bool) {
 // readers, one write transaction at a time (Begin blocks until the writer
 // slot frees).
 type DB struct {
-	path string
 	opts Options
 	file *os.File
 	wal  *wal
@@ -93,7 +92,6 @@ func Open(path string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		path:  path,
 		opts:  opts,
 		file:  f,
 		cache: make(map[uint64][]byte),
@@ -492,6 +490,3 @@ func (db *DB) Abandon() error {
 	}
 	return err
 }
-
-// Path returns the page-file path the database was opened with.
-func (db *DB) Path() string { return db.path }

@@ -284,33 +284,17 @@ func (l *lexer) next() (token, error) {
 // --- parser ---
 
 type parser struct {
-	lex  *lexer
-	tok  token
-	peek *token
+	lex *lexer
+	tok token
 }
 
 func (p *parser) advance() error {
-	if p.peek != nil {
-		p.tok, p.peek = *p.peek, nil
-		return nil
-	}
 	t, err := p.lex.next()
 	if err != nil {
 		return err
 	}
 	p.tok = t
 	return nil
-}
-
-func (p *parser) peekTok() (token, error) {
-	if p.peek == nil {
-		t, err := p.lex.next()
-		if err != nil {
-			return token{}, err
-		}
-		p.peek = &t
-	}
-	return *p.peek, nil
 }
 
 // Parse parses a query string. The empty string is the match-all query.

@@ -15,9 +15,6 @@ type Snapshot struct {
 	released atomic.Bool
 }
 
-// TxID is the commit this snapshot observes.
-func (s *Snapshot) TxID() uint64 { return s.txid }
-
 func (s *Snapshot) readNode(pgid uint64) (*node, error) {
 	p, err := s.db.readPage(pgid)
 	if err != nil {

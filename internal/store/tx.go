@@ -136,14 +136,6 @@ func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
 	return lookupKey(tx, tx.root, key)
 }
 
-// Scan iterates [start, end) through the transaction's uncommitted view.
-func (tx *Tx) Scan(start, end []byte, fn func(key, val []byte) (bool, error)) error {
-	if tx.done {
-		return ErrTxDone
-	}
-	return scanTree(tx, tx.root, start, end, fn)
-}
-
 // Put inserts or replaces key. Values above the inline bound spill to an
 // overflow chain. key and val are copied; the caller keeps ownership.
 func (tx *Tx) Put(key, val []byte) error {

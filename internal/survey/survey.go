@@ -13,7 +13,6 @@ package survey
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/stats"
@@ -219,14 +218,4 @@ func (c Counts) Render() string {
 		fmt.Fprintf(&sb, "%9d\n", c.Total(m))
 	}
 	return sb.String()
-}
-
-// VenueOrderCheck returns the venues sorted by LoC-paper count, a helper
-// for tests asserting the synthetic split stays stable.
-func (c Counts) VenueOrderCheck() []Venue {
-	vs := append([]Venue(nil), Venues...)
-	sort.SliceStable(vs, func(i, j int) bool {
-		return c.ByMethod[MethodLoC][vs[i]] > c.ByMethod[MethodLoC][vs[j]]
-	})
-	return vs
 }

@@ -238,9 +238,10 @@ func NewSession(name string, cfg AnalyzeConfig) (*Session, error) {
 var ErrFeatureSchema = core.ErrFeatureSchema
 
 // ErrModelCorrupt marks a model file whose binary header or sections are
-// truncated or inconsistent, or whose tree classifier splits on a feature
-// column it does not have; LoadModel refuses it, and the daemon's registry
-// keeps serving its previous snapshot.
+// truncated or inconsistent, or whose parts disagree on shape (a classifier
+// that does not fit its hypothesis' features or the two classes, a feature
+// the schema lacks, a count model of the wrong width); LoadModel refuses
+// it, and the daemon's registry keeps serving its previous snapshot.
 var ErrModelCorrupt = core.ErrModelCorrupt
 
 // SaveModel writes a trained model to path as JSON. The write is atomic: the
@@ -276,8 +277,8 @@ func saveModelAtomic(path string, write func(io.Writer) error) error {
 // LoadModel reads a model written by SaveModel or SaveModelBinary (the
 // format is sniffed). Loaded models score and compare codebases but cannot
 // be retrained. A model whose feature schema does not match this build is
-// refused with ErrFeatureSchema; a damaged binary file, or a tree classifier
-// splitting on a feature column it does not have, with ErrModelCorrupt.
+// refused with ErrFeatureSchema; a damaged binary file, or a model whose
+// parts disagree on shape, with ErrModelCorrupt.
 func LoadModel(path string) (*Model, error) {
 	f, err := os.Open(path)
 	if err != nil {

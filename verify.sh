@@ -5,8 +5,8 @@
 # cancellation/panic-containment paths — is race-checked on every run),
 # and short native-fuzz smokes over the MiniC parser (the panic source
 # the containment layer most needs to hold against), the query parser,
-# the daemon's wire-to-tree admission, and the classifier decoder that
-# loads model files. The servebench module,
+# the daemon's wire-to-tree admission, the classifier decoder, and the
+# whole model loader in both formats. The servebench module,
 # which the root module's build never reaches, is vetted and tested on its
 # own. Ends with the live
 # secmetricd drills that need real processes: SIGTERM must drain requests
@@ -47,6 +47,11 @@ go test -run Fuzz -fuzz FuzzWireAdmission -fuzztime 10s ./internal/server
 
 echo "== fuzz smoke (FuzzClassifierDecode, 10s) =="
 go test -run Fuzz -fuzz FuzzClassifierDecode -fuzztime 10s ./internal/ml
+
+# FuzzLoadModel seeds with a 52 KB model. Minimizing one new input of that
+# size takes the default 60 s, the whole smoke, so cap it at 5 runs.
+echo "== fuzz smoke (FuzzLoadModel, 10s) =="
+go test -run Fuzz -fuzz FuzzLoadModel -fuzztime 10s -fuzzminimizetime 5x ./internal/core
 
 echo "== findings smoke (examples/vulnapp) =="
 out=$(go run ./cmd/secmetric findings examples/vulnapp)
