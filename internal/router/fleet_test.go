@@ -170,19 +170,25 @@ func TestFleetMatchesSolo(t *testing.T) {
 
 	// The scores above were recorded shard-local; a repo-filtered query
 	// converges on the owning shard and answers what the solo daemon's
-	// all-in-one history answers.
+	// all-in-one history answers. The second shape is the one servebench's
+	// fleet workload sends, which both sides answer from a narrowed index.
 	for _, name := range []string{"fleet-0", "fleet-7", "fleet-rank"} {
-		q := api.QueryRequest{Query: fmt.Sprintf("repo = %q", name)}
-		f, err := fl.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("fleet query %s: %v", name, err)
-		}
-		s, err := solo.Query(ctx, q)
-		if err != nil {
-			t.Fatalf("solo query %s: %v", name, err)
-		}
-		if len(f.Runs) != 1 || canonRuns(t, f.Runs) != canonRuns(t, s.Runs) {
-			t.Fatalf("query %s: fleet runs %+v, solo runs %+v", name, f.Runs, s.Runs)
+		for _, src := range []string{
+			fmt.Sprintf("repo = %q", name),
+			fmt.Sprintf("repo = %q AND cwe121 > 0 ORDER BY score DESC LIMIT 20", name),
+		} {
+			q := api.QueryRequest{Query: src}
+			f, err := fl.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("fleet query %s: %v", src, err)
+			}
+			s, err := solo.Query(ctx, q)
+			if err != nil {
+				t.Fatalf("solo query %s: %v", src, err)
+			}
+			if len(f.Runs) != 1 || canonRuns(t, f.Runs) != canonRuns(t, s.Runs) {
+				t.Fatalf("query %s: fleet runs %+v, solo runs %+v", src, f.Runs, s.Runs)
+			}
 		}
 	}
 	if _, err := fl.Query(ctx, api.QueryRequest{Query: "score > 0"}); err == nil || !strings.Contains(err.Error(), "needs a repo") {

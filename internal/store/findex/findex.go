@@ -196,6 +196,12 @@ func prefixEnd(prefix []byte) []byte {
 	return nil // prefix is all 0xff: scan to the end of the keyspace
 }
 
+// indexedFile reports whether a finding's file name gets 'f' index
+// entries. The name is a NUL-terminated key segment, so an empty or
+// NUL-containing name has none, and the planner must not pick the file
+// index for it.
+func indexedFile(name string) bool { return name != "" && !strings.ContainsRune(name, 0) }
+
 func validateRepo(repo string) error {
 	if repo == "" {
 		return fmt.Errorf("findex: empty repo id")
@@ -257,8 +263,8 @@ func (s *Store) Append(run Run) (uint64, error) {
 			fileCounts[f.File]++
 		}
 		for _, file := range run.files() {
-			if file == "" || strings.ContainsRune(file, 0) {
-				continue // unindexable name; the row itself still records it
+			if !indexedFile(file) {
+				continue // the row itself still records it
 			}
 			if err := tx.Put(fileKey(file, run.Repo, seq), be8(uint64(fileCounts[file]))); err != nil {
 				return err

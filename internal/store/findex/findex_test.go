@@ -193,6 +193,15 @@ func TestIndexFullScanParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A finding with no file name: the row records it, the file index
+	// cannot, so file = "" must not be answered from that index.
+	noFile := NewRun("app-b", "test", &findings.Report{Findings: []findings.Finding{
+		{Rule: "synth", CWE: 121, Line: 1, Severity: findings.SevHigh, Message: "synthetic"},
+	}})
+	noFile.Time = 1_700_500_000
+	if _, err := s.Append(noFile); err != nil {
+		t.Fatal(err)
+	}
 	queries := []struct {
 		src       string
 		wantIndex bool
@@ -216,6 +225,18 @@ func TestIndexFullScanParity(t *testing.T) {
 		{"severity <= low", false},
 		{"", false},
 		{"cwe121 > 0 AND severity >= high AND time >= 1700000000 ORDER BY score DESC LIMIT 10", true},
+		{`file = ""`, false},
+		{`file = "" AND repo = "app-b"`, true},
+		// The routed shape: every fleet query pins one repo.
+		{`repo = "app-b" AND cwe121 > 0 ORDER BY score DESC LIMIT 20`, true},
+		{`repo = "app-c" AND cwe121 > 0 ORDER BY score DESC LIMIT 20`, true},
+		{`repo = "app-a" AND severity >= high`, true},
+		{`file = "src/f2.c" AND repo = "app-c"`, true},
+		{`repo = "app-a" AND time >= 1700100000 AND time < 1700300000`, true},
+		{`repo = "app-z" AND cwe121 > 0`, true},
+		{`repo = "app-a" AND cwe78 > 0 AND repo = "app-c"`, true},
+		{`cwe121 > 0 AND NOT repo = "app-a"`, true},
+		{`(repo = "app-a" OR repo = "app-b") AND cwe121 > 0`, true},
 	}
 	for _, qc := range queries {
 		planned, ex, err := s.QueryString(qc.src, Options{})
@@ -276,5 +297,35 @@ func TestExplainCounters(t *testing.T) {
 	}
 	if got := ex.String(); !strings.Contains(got, "full scan") || !strings.Contains(got, "candidates=11") {
 		t.Fatalf("explain string: %q", got)
+	}
+
+	// A second repo's runs share every index entry's prefix; a query that
+	// pins one repo fetches only that repo's entries.
+	for i := 0; i < 5; i++ {
+		run := NewRun("other", "t", rep)
+		run.Time = int64(3000 + i)
+		if _, err := s.Append(run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		src, index        string
+		candidates, match int
+	}{
+		{"cwe121 > 0", "cwe121", 15, 15},
+		{`repo = "app" AND cwe121 > 0`, `cwe121 repo("app")`, 10, 10},
+		{`cwe121 > 0 AND repo = "other"`, `cwe121 repo("other")`, 5, 5},
+		{`repo = "other" AND severity >= high`, `severity[high..critical] repo("other")`, 5, 5},
+		{`file = "a.c" AND repo = "other"`, `file("a.c") repo("other")`, 5, 5},
+		{`repo = "absent" AND cwe121 > 0`, `cwe121 repo("absent")`, 0, 0},
+		{`repo = "app"`, `repo("app")`, 11, 11},
+	} {
+		_, ex, err := s.QueryString(c.src, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.FullScan || ex.Index != c.index || ex.Candidates != c.candidates || ex.Matched != c.match {
+			t.Errorf("%s: explain %+v, want index %q, %d candidates, %d matched", c.src, ex, c.index, c.candidates, c.match)
+		}
 	}
 }

@@ -22,7 +22,8 @@ type Options struct {
 // Explain describes how a query executed.
 type Explain struct {
 	// Index names the access path, e.g. `cwe121`, `file("src/a.c")`,
-	// `severity[high..critical]`; empty for a full scan.
+	// `severity[high..critical]`; empty for a full scan. A file, CWE or
+	// severity path that a pinned repo narrows ends in ` repo("r")`.
 	Index string
 	// FullScan reports whether every run row was visited.
 	FullScan bool
@@ -62,21 +63,26 @@ type plan struct {
 	// time window [timeLo, timeHi); has* mark which bounds exist.
 	timeLo, timeHi int64
 	hasLo, hasHi   bool
-	repo           string
+	// repo is the pinned repository: planRepo scans its run rows, and a
+	// file, CWE or severity plan with narrow set scans only its entries.
+	repo   string
+	narrow bool
 }
 
 func (p *plan) describe() string {
+	var path string
 	switch p.kind {
 	case planFile:
-		return fmt.Sprintf("file(%q)", p.file)
+		path = fmt.Sprintf("file(%q)", p.file)
 	case planCWE:
-		return fmt.Sprintf("cwe%d", p.cwe)
+		path = fmt.Sprintf("cwe%d", p.cwe)
 	case planSev:
 		if p.sevLo > p.sevHi {
-			return "severity[empty]"
+			path = "severity[empty]"
+			break
 		}
 		names := []string{"info", "low", "medium", "high", "critical"}
-		return fmt.Sprintf("severity[%s..%s]", names[p.sevLo], names[p.sevHi])
+		path = fmt.Sprintf("severity[%s..%s]", names[p.sevLo], names[p.sevHi])
 	case planTime:
 		lo, hi := "..", ".."
 		if p.hasLo {
@@ -85,12 +91,14 @@ func (p *plan) describe() string {
 		if p.hasHi {
 			hi = fmt.Sprint(p.timeHi)
 		}
-		return fmt.Sprintf("time[%s,%s)", lo, hi)
+		path = fmt.Sprintf("time[%s,%s)", lo, hi)
 	case planRepo:
-		return fmt.Sprintf("repo(%q)", p.repo)
-	default:
-		return ""
+		path = fmt.Sprintf("repo(%q)", p.repo)
 	}
+	if p.narrow {
+		path += fmt.Sprintf(" repo(%q)", p.repo)
+	}
+	return path
 }
 
 // andLeaves collects the comparison leaves reachable through AND nodes
@@ -110,15 +118,35 @@ func andLeaves(e query.Expr, out *[]*query.Cmp) {
 // a superset of the true matches (the full row filter runs afterwards), so
 // the choice affects cost only, never results. Priority: file equality
 // (most selective) > CWE presence > severity floor > time window > repo.
+// A query that pins a repo (query.PinnedRepo) narrows a file, CWE or
+// severity scan to that repo's entries, which sit together because those
+// keys carry repo | 0x00 right after the indexed value. Time keys carry
+// the repo after the time, so a time window is not narrowed.
 func planQuery(where query.Expr) *plan {
-	if where == nil {
-		return &plan{kind: planFull}
-	}
+	repo, pinned := query.PinnedRepo(where)
+	// Stored repo ids are NUL-free by validation, so a NUL pin matches no
+	// row, and it would break the repo | 0x00 framing of a narrowed scan.
+	pinned = pinned && !strings.ContainsRune(repo, 0)
 	var cmps []*query.Cmp
 	andLeaves(where, &cmps)
+	p := indexPlan(cmps)
+	if p == nil {
+		if pinned {
+			return &plan{kind: planRepo, repo: repo}
+		}
+		return &plan{kind: planFull}
+	}
+	if pinned && p.kind != planTime {
+		p.repo, p.narrow = repo, true
+	}
+	return p
+}
 
+// indexPlan picks a secondary index for the AND-level comparisons, or
+// returns nil when none applies.
+func indexPlan(cmps []*query.Cmp) *plan {
 	for _, c := range cmps {
-		if c.Field == query.FieldFile && c.Op == query.OpEq && !strings.ContainsRune(c.Val.Str, 0) {
+		if c.Field == query.FieldFile && c.Op == query.OpEq && indexedFile(c.Val.Str) {
 			return &plan{kind: planFile, file: c.Val.Str}
 		}
 	}
@@ -160,15 +188,7 @@ func planQuery(where query.Expr) *plan {
 		}
 		return p
 	}
-	if p := planTimeWindow(cmps); p != nil {
-		return p
-	}
-	for _, c := range cmps {
-		if c.Field == query.FieldRepo && c.Op == query.OpEq && !strings.ContainsRune(c.Val.Str, 0) {
-			return &plan{kind: planRepo, repo: c.Val.Str}
-		}
-	}
-	return &plan{kind: planFull}
+	return planTimeWindow(cmps)
 }
 
 // planTimeWindow folds every AND-level time comparison into one [lo, hi)
@@ -272,9 +292,15 @@ func (s *Store) Query(q *query.Query, opt Options) ([]Run, *Explain, error) {
 			}
 			return collect(run)
 		}
-		scanIndex := func(start, end []byte, prefixLen int) error {
-			return snap.Scan(start, end, func(k, v []byte) (bool, error) {
-				repo, seq, err := tailRepoSeq(k, prefixLen)
+		// scanIndex fetches the run behind every index entry under prefix,
+		// or under prefix | repo | 0x00 when the plan is narrowed.
+		scanIndex := func(prefix []byte) error {
+			start := prefix
+			if p.narrow {
+				start = append(append(prefix[:len(prefix):len(prefix)], p.repo...), 0)
+			}
+			return snap.Scan(start, prefixEnd(start), func(k, v []byte) (bool, error) {
+				repo, seq, err := tailRepoSeq(k, len(prefix))
 				if err != nil {
 					return false, err
 				}
@@ -284,17 +310,15 @@ func (s *Store) Query(q *query.Query, opt Options) ([]Run, *Explain, error) {
 		switch p.kind {
 		case planFile:
 			prefix := append([]byte{prefixFile}, p.file...)
-			prefix = append(prefix, 0)
-			return scanIndex(prefix, prefixEnd(prefix), len(prefix))
+			return scanIndex(append(prefix, 0))
 		case planCWE:
 			prefix := make([]byte, 5)
 			prefix[0] = prefixCWE
 			binary.BigEndian.PutUint32(prefix[1:], p.cwe)
-			return scanIndex(prefix, prefixEnd(prefix), len(prefix))
+			return scanIndex(prefix)
 		case planSev:
 			for lvl := p.sevLo; lvl <= p.sevHi; lvl++ {
-				prefix := []byte{prefixSev, byte(lvl)}
-				if err := scanIndex(prefix, prefixEnd(prefix), len(prefix)); err != nil {
+				if err := scanIndex([]byte{prefixSev, byte(lvl)}); err != nil {
 					return err
 				}
 			}

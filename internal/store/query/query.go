@@ -112,6 +112,27 @@ func (a *And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
 func (o *Or) String() string  { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
 func (n *Not) String() string { return fmt.Sprintf("NOT %s", n.E) }
 
+// PinnedRepo returns the repository a filter pins: the first repo = "..."
+// string equality on its top-level AND spine, read left to right. Every
+// row the filter matches belongs to that repository. An equality under OR
+// or NOT pins nothing. The shard router places a query by this repository
+// and the findex planner narrows its index scan to it, so both read the
+// pin from here.
+func PinnedRepo(e Expr) (string, bool) {
+	switch n := e.(type) {
+	case *And:
+		if repo, ok := PinnedRepo(n.L); ok {
+			return repo, true
+		}
+		return PinnedRepo(n.R)
+	case *Cmp:
+		if n.Field == FieldRepo && n.Op == OpEq && !n.Val.IsNum {
+			return n.Val.Str, true
+		}
+	}
+	return "", false
+}
+
 // Query is a parsed query: an optional filter, ordering, and limit.
 type Query struct {
 	// Where is nil for a match-everything query.

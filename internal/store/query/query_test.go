@@ -120,6 +120,33 @@ func TestParseStructure(t *testing.T) {
 	}
 }
 
+func TestPinnedRepo(t *testing.T) {
+	cases := []struct {
+		src, want string
+		ok        bool
+	}{
+		{`repo = "web"`, "web", true},
+		{`score > 0.5 AND repo = web AND cwe121 > 0`, "web", true},
+		// The first equality on the spine pins, even when a later one
+		// contradicts it.
+		{`repo = "a" AND repo = "b"`, "a", true},
+		{`(repo = "a" AND score > 1) AND repo = "b"`, "a", true},
+		{`repo = ""`, "", true},
+		{"", "", false},
+		{"score > 0.5", "", false},
+		{`repo != "a"`, "", false},
+		{`repo = "a" OR repo = "b"`, "", false},
+		{`NOT repo = "a"`, "", false},
+		{`(repo = "a" OR score > 1) AND cwe121 > 0`, "", false},
+	}
+	for _, c := range cases {
+		got, ok := PinnedRepo(mustParse(t, c.src).Where)
+		if got != c.want || ok != c.ok {
+			t.Errorf("PinnedRepo(%q) = %q, %v; want %q, %v", c.src, got, ok, c.want, c.ok)
+		}
+	}
+}
+
 func TestTimeOperand(t *testing.T) {
 	if got, err := TimeOperand(Value{IsNum: true, Num: 12345}); err != nil || got != 12345 {
 		t.Fatalf("numeric time = %d, %v", got, err)

@@ -193,6 +193,8 @@ type QueryRequest struct {
 // QueryExplain mirrors the planner's account of how a query executed.
 type QueryExplain struct {
 	// Index names the access path (e.g. "cwe121"); empty for a full scan.
+	// A query whose filter pins a repo scans only that repo's entries of a
+	// file, CWE or severity index, named like `cwe121 repo("app")`.
 	Index string `json:"index,omitempty"`
 	// FullScan reports whether every run row was visited.
 	FullScan bool `json:"full_scan"`

@@ -92,35 +92,18 @@ func (r DeltaRequest) ShardKey() (string, error) {
 	return "repo:" + r.RepoID, nil
 }
 
-// ShardKey implements Keyed: a query belongs to the repository named by a
-// repo = "..." equality in the top-level AND chain of its filter. History
-// is shard-local, so a query without one cannot be answered whole by any
-// single backend and is refused rather than answered partially. Equality
-// under OR or NOT does not pin the query to one repository.
+// ShardKey implements Keyed: a query belongs to the repository its filter
+// pins (query.PinnedRepo), the rule the history planner narrows by too.
+// History is shard-local, so a query without a pin cannot be answered
+// whole by any single backend and is refused rather than answered
+// partially.
 func (r QueryRequest) ShardKey() (string, error) {
 	q, err := query.Parse(r.Query)
 	if err != nil {
 		return "", err
 	}
-	var find func(e query.Expr) (string, bool)
-	find = func(e query.Expr) (string, bool) {
-		switch n := e.(type) {
-		case *query.And:
-			if repo, ok := find(n.L); ok {
-				return repo, true
-			}
-			return find(n.R)
-		case *query.Cmp:
-			if n.Field == query.FieldRepo && n.Op == query.OpEq && !n.Val.IsNum {
-				return n.Val.Str, true
-			}
-		}
-		return "", false
-	}
-	if q.Where != nil {
-		if repo, ok := find(q.Where); ok {
-			return "tree:" + repo, nil
-		}
+	if repo, ok := query.PinnedRepo(q.Where); ok {
+		return "tree:" + repo, nil
 	}
 	return "", errors.New(`fleet query needs a repo = "..." filter to pick its shard (history is shard-local)`)
 }

@@ -5,10 +5,10 @@
 # cancellation/panic-containment paths — is race-checked on every run),
 # and short native-fuzz smokes over the MiniC parser (the panic source
 # the containment layer most needs to hold against), the query parser,
-# the daemon's wire-to-tree admission, the classifier decoder, and the
-# whole model loader in both formats. The servebench module,
-# which the root module's build never reaches, is vetted and tested on its
-# own. Ends with the live
+# the daemon's wire-to-tree admission, the classifier decoder, the
+# whole model loader in both formats, and the store's page decoder. The
+# servebench module, which the root module's build never reaches, is
+# vetted and tested on its own. Ends with the live
 # secmetricd drills that need real processes: SIGTERM must drain requests
 # in flight cleanly, and a 3-backend fleet behind the consistent-hash
 # shard router must keep every repository's bytes through a SIGKILLed
@@ -52,6 +52,11 @@ go test -run Fuzz -fuzz FuzzClassifierDecode -fuzztime 10s ./internal/ml
 # size takes the default 60 s, the whole smoke, so cap it at 5 runs.
 echo "== fuzz smoke (FuzzLoadModel, 10s) =="
 go test -run Fuzz -fuzz FuzzLoadModel -fuzztime 10s -fuzzminimizetime 5x ./internal/core
+
+# FuzzDecodeNode re-seals each input's page CRC, so it reaches the cell
+# bounds checks behind the checksum.
+echo "== fuzz smoke (FuzzDecodeNode, 10s) =="
+go test -run Fuzz -fuzz FuzzDecodeNode -fuzztime 10s ./internal/store
 
 echo "== findings smoke (examples/vulnapp) =="
 out=$(go run ./cmd/secmetric findings examples/vulnapp)
