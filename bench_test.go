@@ -244,13 +244,13 @@ func BenchmarkAnalyzeDirWarmCache(b *testing.B) {
 	}
 	cfg := AnalyzeConfig{CacheDir: filepath.Join(b.TempDir(), "featcache")}
 	start := time.Now()
-	if _, err := AnalyzeDirWith(context.Background(), dir, cfg); err != nil {
+	if _, _, err := AnalyzeDirWithDiagnostics(context.Background(), dir, cfg); err != nil {
 		b.Fatal(err)
 	}
 	coldDur := time.Since(start)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fv, err := AnalyzeDirWith(context.Background(), dir, cfg)
+		fv, _, err := AnalyzeDirWithDiagnostics(context.Background(), dir, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 //
 //	secmetric analyze  [-diag] [-json] [-trace f] [-slowest N] [-history db] <dir>  print the code-property vector
 //	secmetric score    [-model m.json] [-json] <dir>  print the security report
-//	secmetric compare  [-model m.json] [-incremental] <old> <new>  print the risk delta
+//	secmetric compare  [-model m.json] <old> <new>  print the risk delta
 //	secmetric focus    [-model m.json] [-budget N] <dir>  apportion deep analysis
 //	secmetric rank     [-top N] [-json] [-explain] [-vcs-seed N] <dir>  rank functions by risk
 //	secmetric findings [-min sev] [-json] [-history db] <dir>   print the CWE-tagged findings
@@ -17,7 +17,9 @@
 // (per-file deep-analysis deadline; files that exceed it degrade to base
 // metrics). rank and findings accept -jobs N only; focus and query take
 // none of the three. Interrupting the process (Ctrl-C) cancels the
-// analysis pool cleanly.
+// analysis pool cleanly. compare analyzes both versions through one
+// feature cache (memory-only without -cache), so the files they share are
+// deep-analyzed once.
 //
 // With -history db, findings and analyze append the run's CWE-tagged
 // findings to the embedded time-series database at that path; `secmetric
@@ -43,6 +45,8 @@ import (
 	"time"
 
 	secmetric "repro"
+	"repro/internal/core"
+	"repro/internal/featcache"
 	"repro/internal/metrics"
 	"repro/internal/store/findex"
 	"repro/internal/system"
@@ -98,7 +102,7 @@ func usage() error {
 	return errors.New(`usage:
   secmetric analyze  [-diag] [-json] [-trace f] [-slowest N] [-history db] [-jobs N] [-cache dir] [-file-timeout d] <dir>
   secmetric score    [-model m.json] [-json] [-jobs N] [-cache dir] [-file-timeout d] <dir>
-  secmetric compare  [-model m.json] [-incremental] [-jobs N] [-cache dir] [-file-timeout d] <old> <new>
+  secmetric compare  [-model m.json] [-jobs N] [-cache dir] [-file-timeout d] <old> <new>
   secmetric focus    [-model m.json] [-budget N] <dir>
   secmetric rank     [-top N] [-json] [-explain] [-vcs-seed N] [-jobs N] <dir>
   secmetric findings [-min sev] [-json] [-history db] [-jobs N] <dir>
@@ -299,7 +303,7 @@ func cmdImage(ctx context.Context, args []string) error {
 	}
 	img := &secmetric.SystemImage{Name: man.Name}
 	for _, c := range man.Components {
-		fv, err := secmetric.AnalyzeDirWith(ctx, c.Dir, *acfg)
+		fv, _, err := secmetric.AnalyzeDirWithDiagnostics(ctx, c.Dir, *acfg)
 		if err != nil {
 			return fmt.Errorf("component %s: %w", c.Name, err)
 		}
@@ -468,7 +472,7 @@ func cmdScore(ctx context.Context, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("score needs exactly one directory")
 	}
-	fv, err := secmetric.AnalyzeDirWith(ctx, fs.Arg(0), *acfg)
+	fv, _, err := secmetric.AnalyzeDirWithDiagnostics(ctx, fs.Arg(0), *acfg)
 	if err != nil {
 		return err
 	}
@@ -489,7 +493,6 @@ func cmdScore(ctx context.Context, args []string) error {
 func cmdCompare(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	modelPath := fs.String("model", "", "trained model file (from trainctl)")
-	incremental := fs.Bool("incremental", false, "analyze old fully, then apply the old→new diff as a changeset instead of re-analyzing new from scratch")
 	acfg := analyzeOpts(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -497,18 +500,7 @@ func cmdCompare(ctx context.Context, args []string) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("compare needs exactly two directories")
 	}
-	var oldFV, newFV secmetric.FeatureVector
-	var err error
-	if *incremental {
-		oldFV, newFV, err = compareIncremental(ctx, fs.Arg(0), fs.Arg(1), *acfg)
-	} else {
-		// With -cache, the two versions share one cache, so only the files
-		// that changed between them are deep-analyzed twice.
-		oldFV, err = secmetric.AnalyzeDirWith(ctx, fs.Arg(0), *acfg)
-		if err == nil {
-			newFV, err = secmetric.AnalyzeDirWith(ctx, fs.Arg(1), *acfg)
-		}
-	}
+	fvs, _, err := analyzePair(ctx, fs.Arg(0), fs.Arg(1), *acfg)
 	if err != nil {
 		return err
 	}
@@ -516,70 +508,31 @@ func cmdCompare(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(model.Compare(fs.Arg(0), oldFV, fs.Arg(1), newFV))
+	fmt.Print(model.Compare(fs.Arg(0), fvs[0], fs.Arg(1), fvs[1]))
 	return nil
 }
 
-// compareIncremental seeds a session with the old tree, then applies the
-// old→new diff as one changeset, so only the files the change touched are
-// re-analyzed. The session's parity contract makes both vectors — and
-// therefore the printed comparison — byte-identical to the batch path's.
-func compareIncremental(ctx context.Context, oldDir, newDir string, acfg secmetric.AnalyzeConfig) (oldFV, newFV secmetric.FeatureVector, err error) {
-	oldTree, err := metrics.LoadTree(oldDir)
+// analyzePair analyzes two versions of a source tree through one feature
+// cache: the -cache directory, or a memory-only cache without it. Every
+// file the versions share is deep-analyzed once and read back as a cache
+// hit in the second, as in the daemon's /v1/compare.
+func analyzePair(ctx context.Context, oldDir, newDir string, acfg secmetric.AnalyzeConfig) (fvs [2]secmetric.FeatureVector, diags [2]*secmetric.AnalysisDiagnostics, err error) {
+	cache, err := featcache.Open(acfg.CacheDir)
 	if err != nil {
-		return nil, nil, err
+		return fvs, diags, err
 	}
-	newTree, err := metrics.LoadTree(newDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(oldTree.Files) == 0 {
-		return nil, nil, fmt.Errorf("no source files under %s", oldDir)
-	}
-	if len(newTree.Files) == 0 {
-		return nil, nil, fmt.Errorf("no source files under %s", newDir)
-	}
-	sess, err := secmetric.NewSession(oldDir, acfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	seed, err := sess.Apply(ctx, secmetric.SessionChangeset{Added: oldTree.Files})
-	if err != nil {
-		return nil, nil, err
-	}
-	cs := diffTrees(oldTree, newTree)
-	if cs.Empty() {
-		return seed.Features, seed.Features, nil
-	}
-	res, err := sess.Apply(ctx, cs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return seed.Features, res.Features, nil
-}
-
-// diffTrees computes the changeset that edits old into new: paths only in
-// new are additions, paths only in old are removals, and shared paths with
-// different content are modifications.
-func diffTrees(oldTree, newTree *metrics.Tree) secmetric.SessionChangeset {
-	var cs secmetric.SessionChangeset
-	prev := make(map[string]metrics.File, len(oldTree.Files))
-	for _, f := range oldTree.Files {
-		prev[f.Path] = f
-	}
-	next := make(map[string]bool, len(newTree.Files))
-	for _, f := range newTree.Files {
-		next[f.Path] = true
-		if old, ok := prev[f.Path]; !ok {
-			cs.Added = append(cs.Added, f)
-		} else if old.Content != f.Content || old.Language != f.Language {
-			cs.Modified = append(cs.Modified, f)
+	ecfg := core.ExtractConfig{Jobs: acfg.Jobs, FileTimeout: acfg.FileTimeout, Cache: cache}
+	for i, dir := range [2]string{oldDir, newDir} {
+		tree, err := metrics.LoadTree(dir)
+		if err != nil {
+			return fvs, diags, err
+		}
+		if len(tree.Files) == 0 {
+			return fvs, diags, fmt.Errorf("no source files under %s", dir)
+		}
+		if fvs[i], diags[i], err = core.ExtractFeaturesDiagnostics(ctx, tree, ecfg); err != nil {
+			return fvs, diags, err
 		}
 	}
-	for _, f := range oldTree.Files {
-		if !next[f.Path] {
-			cs.Removed = append(cs.Removed, f.Path)
-		}
-	}
-	return cs
+	return fvs, diags, nil
 }

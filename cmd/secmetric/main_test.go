@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	secmetric "repro"
+	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/pkg/api"
 	"repro/pkg/client"
@@ -355,46 +357,84 @@ func TestCLIAnalyzeTracingDoesNotChangeOutput(t *testing.T) {
 	}
 }
 
-// TestCLICompareIncrementalMatchesBatch holds `compare -incremental` to
-// the parity contract: the printed comparison must be byte-identical to
-// the batch path's over the same two directories.
-func TestCLICompareIncrementalMatchesBatch(t *testing.T) {
-	old := t.TempDir()
-	for name, content := range map[string]string{
+// writeTree writes files into a fresh directory and returns its path.
+func writeTree(t *testing.T, files map[string]string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// compareFixture writes two versions of a tree: keep.c is unchanged,
+// edit.c edited, gone.c removed and fresh.c added.
+func compareFixture(t *testing.T) (oldDir, newDir string) {
+	t.Helper()
+	oldDir = writeTree(t, map[string]string{
 		"keep.c": "int keep(int x) { return x + 1; }\n",
 		"edit.c": cliSrc,
 		"gone.c": "int gone(void) { return 9; }\n",
-	} {
-		if err := os.WriteFile(filepath.Join(old, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	newDir := t.TempDir()
-	for name, content := range map[string]string{
+	})
+	newDir = writeTree(t, map[string]string{
 		"keep.c":  "int keep(int x) { return x + 1; }\n",
 		"edit.c":  "int main(void) { return 0; }\n",
 		"fresh.c": "int fresh(int n) { if (n > 2) { return n; } return 0; }\n",
-	} {
-		if err := os.WriteFile(filepath.Join(newDir, name), []byte(content), 0o644); err != nil {
+	})
+	return oldDir, newDir
+}
+
+// TestCLICompareSharedCache: with -cache unset and set, `compare` prints
+// model.Compare over two cacheless extractions of the same directories,
+// and the new version's unchanged file is read from the cache the old
+// version filled.
+func TestCLICompareSharedCache(t *testing.T) {
+	ctx := context.Background()
+	oldDir, newDir := compareFixture(t)
+	modelFile := sharedModel(t)
+	model, err := secmetric.LoadModel(modelFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extract := func(dir string) secmetric.FeatureVector {
+		tree, err := metrics.LoadTree(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return core.ExtractFeatures(tree)
 	}
-	model := sharedModel(t)
-	batch := captureStdout(t, func() error {
-		return run(context.Background(), []string{"compare", "-model", model, old, newDir})
-	})
-	incremental := captureStdout(t, func() error {
-		return run(context.Background(), []string{"compare", "-model", model, "-incremental", old, newDir})
-	})
-	if batch != incremental {
-		t.Fatalf("incremental compare output differs from batch:\n--- batch ---\n%s\n--- incremental ---\n%s", batch, incremental)
+	want := model.Compare(oldDir, extract(oldDir), newDir, extract(newDir)).String()
+	for _, persist := range []bool{false, true} {
+		args := []string{"compare", "-model", modelFile}
+		var acfg secmetric.AnalyzeConfig
+		if persist {
+			// The CLI run and the hit check each start from a cold cache.
+			args = append(args, "-cache", filepath.Join(t.TempDir(), "fc"))
+			acfg.CacheDir = filepath.Join(t.TempDir(), "fc")
+		}
+		got := captureStdout(t, func() error {
+			return run(ctx, append(args, oldDir, newDir))
+		})
+		if got != want {
+			t.Fatalf("persist=%v: compare output differs from the library:\n--- cli ---\n%s\n--- library ---\n%s", persist, got, want)
+		}
+		_, diags, err := analyzePair(ctx, oldDir, newDir, acfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range diags[1].Files {
+			if hit := f.Status == secmetric.StatusCacheHit; hit != (f.Path == "keep.c") {
+				t.Errorf("persist=%v: new version's %s has status %s", persist, f.Path, f.Status)
+			}
+		}
 	}
-	// Identical trees: the incremental path diffs to an empty changeset
-	// and must still print a comparison rather than erroring.
+	// Identical trees still print a comparison.
 	same := captureStdout(t, func() error {
-		return run(context.Background(), []string{"compare", "-model", model, "-incremental", old, old})
+		return run(ctx, []string{"compare", "-model", modelFile, oldDir, oldDir})
 	})
-	if !strings.Contains(same, old) {
+	if !strings.Contains(same, oldDir) {
 		t.Fatalf("self-compare output missing the directory name:\n%s", same)
 	}
 }
@@ -488,8 +528,8 @@ func canonJSON(t *testing.T, v any) string {
 	return string(out)
 }
 
-// TestCLIMatchesDaemon: `score -json` and `rank -json` print exactly what
-// secmetricd answers for the same directory and model file.
+// TestCLIMatchesDaemon: `score -json`, `rank -json` and `compare` print
+// exactly what secmetricd answers for the same directories and model file.
 func TestCLIMatchesDaemon(t *testing.T) {
 	const dir = "../../examples/vulnapp"
 	ctx := context.Background()
@@ -528,5 +568,25 @@ func TestCLIMatchesDaemon(t *testing.T) {
 	}
 	if got, want := canonJSON(t, rank.Ranking), canonJSON(t, cliRank); got != want {
 		t.Fatalf("daemon ranking differs from the CLI:\n%s\nvs\n%s", got, want)
+	}
+
+	oldDir, newDir := compareFixture(t)
+	cliCompare := captureStdout(t, func() error {
+		return run(ctx, []string{"compare", "-model", modelFile, oldDir, newDir})
+	})
+	oldTree, err := client.TreeFromDir(oldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newTree, err := client.TreeFromDir(newDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := c.Compare(ctx, api.CompareRequest{Old: oldTree, New: newTree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cmp.Comparison.String(); got != cliCompare {
+		t.Fatalf("daemon comparison differs from the CLI:\n%s\nvs\n%s", got, cliCompare)
 	}
 }

@@ -1,10 +1,11 @@
 // Command trainctl trains the prediction model on the built-in corpus,
 // reports per-hypothesis cross-validation quality, and writes the trained
-// model to disk for the secmetric tool.
+// model to disk for the secmetric tool: a -out path ending in .bin gets the
+// binary container, any other path JSON.
 //
 // Usage:
 //
-//	trainctl [-kind forest] [-folds 10] [-topk 0] [-seed 17] [-jobs 0] [-out model.json] [-format json|binary|auto]
+//	trainctl [-kind forest] [-folds 10] [-topk 0] [-seed 17] [-jobs 0] [-out model.json]
 package main
 
 import (
@@ -39,23 +40,14 @@ func run(ctx context.Context) error {
 	topk := flag.Int("topk", 0, "keep only the top-k features by information gain (0 = all)")
 	seed := flag.Uint64("seed", 17, "training seed")
 	jobs := flag.Int("jobs", 0, "training worker pool size (0 = all cores; the model is identical for any value)")
-	out := flag.String("out", "model.json", "model output path")
-	format := flag.String("format", "auto", "model encoding: json|binary|auto (auto picks binary for a .bin path)")
+	out := flag.String("out", "model.json", "model output path (a .bin path is written in the binary format, any other as JSON)")
 	arff := flag.String("arff", "", "also export the many_vulns training set as Weka ARFF")
 	tune := flag.Bool("tune", false, "grid-search random-forest hyperparameters first")
 	flag.Parse()
 
 	save := secmetric.SaveModel
-	switch *format {
-	case "json":
-	case "binary":
+	if strings.HasSuffix(*out, ".bin") {
 		save = secmetric.SaveModelBinary
-	case "auto":
-		if strings.HasSuffix(*out, ".bin") {
-			save = secmetric.SaveModelBinary
-		}
-	default:
-		return fmt.Errorf("unknown -format %q (want json, binary, or auto)", *format)
 	}
 	if _, err := core.NewClassifier(core.ModelKind(*kind)); err != nil {
 		return err

@@ -58,7 +58,7 @@ func checkGolden(t *testing.T, path string, got []byte) {
 // analyzeAt extracts the example tree's features at one worker-pool width.
 func analyzeAt(t *testing.T, jobs int) FeatureVector {
 	t.Helper()
-	fv, err := AnalyzeDirWith(context.Background(), goldenDir, AnalyzeConfig{Jobs: jobs})
+	fv, _, err := AnalyzeDirWithDiagnostics(context.Background(), goldenDir, AnalyzeConfig{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}

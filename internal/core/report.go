@@ -45,12 +45,7 @@ func (m *Model) Score(name string, fv metrics.FeatureVector) *Report {
 	sum := 0.0
 	for _, hm := range m.Hypotheses {
 		projected := hm.projectRow(row)
-		prob := 0.0
-		if p, ok := hm.Classifier.(ml.Prober); ok {
-			prob = p.PredictProba(projected)[1]
-		} else if hm.Classifier.PredictClass(projected) == 1 {
-			prob = 1
-		}
+		prob := hm.Classifier.PredictProba(projected)[1]
 		top := hm.Importance
 		if len(top) > 5 {
 			top = top[:5]

@@ -200,55 +200,6 @@ func TestFlatForestValidate(t *testing.T) {
 	}
 }
 
-func TestPredictProbaBatchMatchesRowwise(t *testing.T) {
-	rf := fittedGoldenForest(t)
-	rows := goldenForestData().X
-	batch := rf.PredictProbaBatch(rows)
-	for i, row := range rows {
-		want := rf.PredictProba(row)
-		for c := range want {
-			if batch[i][c] != want[c] {
-				t.Fatalf("row %d class %d: batch %v, rowwise %v", i, c, batch[i][c], want[c])
-			}
-		}
-		if argmax(batch[i]) != rf.PredictClass(row) {
-			t.Fatalf("row %d: batch argmax differs from PredictClass", i)
-		}
-	}
-}
-
-func TestPredictProbaBatchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are skewed under the race detector")
-	}
-	rf := fittedGoldenForest(t)
-	rows := goldenForestData().X
-	ff := rf.flat
-	out := make([][]float64, len(rows))
-	arena := make([]float64, len(rows)*rf.k)
-	for i := range out {
-		out[i] = arena[i*rf.k : (i+1)*rf.k : (i+1)*rf.k]
-	}
-	// The compiled walk itself is allocation-free.
-	allocs := testing.AllocsPerRun(10, func() {
-		for i := range arena {
-			arena[i] = 0
-		}
-		ff.batchInto(rows, out)
-	})
-	if allocs != 0 {
-		t.Errorf("batchInto allocates %v times per run, want 0", allocs)
-	}
-	// The public batch call allocates only the output arena: O(1) per call,
-	// not O(trees) or O(rows x trees).
-	allocs = testing.AllocsPerRun(10, func() {
-		rf.PredictProbaBatch(rows)
-	})
-	if allocs > 2 {
-		t.Errorf("PredictProbaBatch allocates %v times per call, want <= 2", allocs)
-	}
-}
-
 // BenchmarkBestSplit pins the cost of one split search over a realistic node
 // (240 rows, 12 attributes) — the inner loop of every tree fit. The
 // sortFloats -> sort.Float64s swap and the scratch-buffer reuse must not
@@ -267,16 +218,6 @@ func BenchmarkBestSplit(b *testing.B) {
 		if attr < 0 {
 			b.Fatal("no split found")
 		}
-	}
-}
-
-func BenchmarkForestPredictBatch(b *testing.B) {
-	rf := fittedGoldenForest(b)
-	rows := goldenForestData().X
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rf.PredictProbaBatch(rows)
 	}
 }
 

@@ -7,16 +7,13 @@ import (
 	"repro/internal/stats"
 )
 
-// Classifier is the common fit/predict interface.
+// Classifier is the common fit/predict interface. PredictProba returns
+// one probability per class.
 type Classifier interface {
 	Fit(d *Dataset) error
 	PredictClass(x []float64) int
-	Name() string
-}
-
-// Prober is implemented by classifiers that expose class probabilities.
-type Prober interface {
 	PredictProba(x []float64) []float64
+	Name() string
 }
 
 // ZeroR always predicts the majority class — the baseline every real model

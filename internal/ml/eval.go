@@ -121,32 +121,19 @@ type Evaluation struct {
 	AUC       float64 // binary only; 0.5 when undefined
 }
 
-// Evaluate tests a fitted classifier on a dataset. Classifiers with a
-// batched probability path (BatchProber) are driven through one batch call
-// that supplies both the class decisions and the AUC scores.
+// Evaluate tests a fitted classifier on a dataset: PredictClass feeds the
+// confusion matrix and, on a binary dataset, PredictProba's class-1
+// probability feeds the AUC.
 func Evaluate(c Classifier, test *Dataset) *Evaluation {
 	cm := NewConfusionMatrix(test.ClassNames)
+	binary := test.NumClasses() == 2
 	var scores []float64 // probability of class 1, for AUC
 	var labels []int
-	if bp, ok := c.(BatchProber); ok {
-		probs := bp.PredictProbaBatch(test.X)
-		binary := test.NumClasses() == 2
-		for i, p := range probs {
-			cm.Add(int(test.Y[i]), argmax(p))
-			if binary {
-				scores = append(scores, p[1])
-				labels = append(labels, int(test.Y[i]))
-			}
-		}
-	} else {
-		prober, hasProba := c.(Prober)
-		for i, row := range test.X {
-			pred := c.PredictClass(row)
-			cm.Add(int(test.Y[i]), pred)
-			if hasProba && test.NumClasses() == 2 {
-				scores = append(scores, prober.PredictProba(row)[1])
-				labels = append(labels, int(test.Y[i]))
-			}
+	for i, row := range test.X {
+		cm.Add(int(test.Y[i]), c.PredictClass(row))
+		if binary {
+			scores = append(scores, c.PredictProba(row)[1])
+			labels = append(labels, int(test.Y[i]))
 		}
 	}
 	ev := &Evaluation{Matrix: cm, Accuracy: cm.Accuracy()}

@@ -96,106 +96,3 @@ func (ff *flatForest) accumulateInto(x []float64, out []float64) {
 		out[c] /= inv
 	}
 }
-
-// batchBlock bounds how many rows stream against the node arena before the
-// walk moves to the next ensemble pass, keeping the block of feature
-// vectors cache-resident while one tree's contiguous segment is hot.
-const batchBlock = 512
-
-// batchInto predicts probabilities for every row of X into out (row i into
-// out[i], which must be zeroed and k wide). The walk is blocked: for each
-// block of rows, every tree streams its contiguous arena segment against
-// the block, so neither the row matrix nor a large ensemble forces the
-// other out of cache. Within a block, rows advance in pairs — two
-// independent load-to-load dependency chains (node -> attr -> feature ->
-// compare -> next node) that overlap each other's latencies; more chains
-// spill registers and lose the gain. Each step selects the next index with
-// a conditional move (both candidates are computed before the test), so
-// near-random split directions cost no branch mispredictions. Each
-// out[i][c] accumulates trees in tree order with the same final division,
-// keeping results bit-identical to row-at-a-time prediction.
-func (ff *flatForest) batchInto(X [][]float64, out [][]float64) {
-	nodes := ff.nodes
-	probs := ff.probs
-	k := ff.k
-	for b0 := 0; b0 < len(X); b0 += batchBlock {
-		b1 := b0 + batchBlock
-		if b1 > len(X) {
-			b1 = len(X)
-		}
-		for _, root := range ff.roots {
-			r := b0
-			for ; r+1 < b1; r += 2 {
-				x0, x1 := X[r], X[r+1]
-				i0, i1 := root, root
-				a0, a1 := nodes[root].attr, nodes[root].attr
-				// flatLeaf is all ones, so the AND is flatLeaf exactly when
-				// both chains have reached their leaves (interior attrs
-				// are >= 0).
-				for a0&a1 != flatLeaf {
-					if a0 != flatLeaf {
-						n := &nodes[i0]
-						next := n.right
-						if x0[a0] <= n.thr {
-							next = i0 + 1
-						}
-						i0 = next
-						a0 = nodes[i0].attr
-					}
-					if a1 != flatLeaf {
-						n := &nodes[i1]
-						next := n.right
-						if x1[a1] <= n.thr {
-							next = i1 + 1
-						}
-						i1 = next
-						a1 = nodes[i1].attr
-					}
-				}
-				off0, off1 := int(nodes[i0].right), int(nodes[i1].right)
-				o0, o1 := out[r], out[r+1]
-				for c := 0; c < k; c++ {
-					o0[c] += probs[off0+c]
-					o1[c] += probs[off1+c]
-				}
-			}
-			for ; r < b1; r++ {
-				p := ff.leafProbs(root, X[r])
-				o := out[r]
-				for c := range o {
-					o[c] += p[c]
-				}
-			}
-		}
-	}
-	inv := float64(len(ff.roots))
-	for _, o := range out {
-		for c := range o {
-			o[c] /= inv
-		}
-	}
-}
-
-// BatchProber is implemented by classifiers with a batched probability
-// path; Evaluate and the scoring daemon prefer it when present.
-// Implementations must guarantee that the argmax of each batched row equals
-// PredictClass for that row, so callers can derive both from one pass.
-type BatchProber interface {
-	PredictProbaBatch(X [][]float64) [][]float64
-}
-
-// PredictProbaBatch predicts class probabilities for every row of X with one
-// cache-coherent pass per tree over the compiled forest. Results are
-// bit-identical to calling PredictProba per row.
-func (rf *RandomForest) PredictProbaBatch(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	arena := make([]float64, len(X)*rf.k)
-	for i := range out {
-		out[i] = arena[i*rf.k : (i+1)*rf.k : (i+1)*rf.k]
-	}
-	if rf.flat == nil {
-		return out
-	}
-	rf.flat.batchInto(X, out)
-	return out
-}

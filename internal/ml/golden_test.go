@@ -125,9 +125,8 @@ func TestForestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := loaded.(Prober)
 	for i, row := range probes {
-		got := lp.PredictProba(row)
+		got := loaded.PredictProba(row)
 		for c := range got {
 			if got[c] != probs[i][c] {
 				t.Fatalf("probe %d class %d: loaded forest predicts %v, fitted predicts %v", i, c, got[c], probs[i][c])

@@ -171,6 +171,7 @@ func TestParallelForCtxFirstErrorBeatsCancel(t *testing.T) {
 
 type failingClassifier struct{}
 
-func (f *failingClassifier) Fit(d *Dataset) error         { return fmt.Errorf("boom") }
-func (f *failingClassifier) PredictClass(x []float64) int { return 0 }
-func (f *failingClassifier) Name() string                 { return "failing" }
+func (f *failingClassifier) Fit(d *Dataset) error               { return fmt.Errorf("boom") }
+func (f *failingClassifier) PredictClass(x []float64) int       { return 0 }
+func (f *failingClassifier) PredictProba(x []float64) []float64 { return []float64{1, 0} }
+func (f *failingClassifier) Name() string                       { return "failing" }

@@ -24,15 +24,11 @@ func roundTrip(t *testing.T, c Classifier, test *Dataset) {
 			t.Fatalf("%s row %d: restored predicts %d, original %d", c.Name(), i, got, want)
 		}
 	}
-	// Probability agreement where supported.
-	if p1, ok := c.(Prober); ok {
-		p2 := restored.(Prober)
-		for _, row := range test.X[:5] {
-			a, b := p1.PredictProba(row), p2.PredictProba(row)
-			for k := range a {
-				if diff := a[k] - b[k]; diff > 1e-12 || diff < -1e-12 {
-					t.Fatalf("%s proba mismatch: %v vs %v", c.Name(), a, b)
-				}
+	for _, row := range test.X[:5] {
+		a, b := c.PredictProba(row), restored.PredictProba(row)
+		for k := range a {
+			if diff := a[k] - b[k]; diff > 1e-12 || diff < -1e-12 {
+				t.Fatalf("%s proba mismatch: %v vs %v", c.Name(), a, b)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -20,6 +21,35 @@ func openHistory(t *testing.T) *findex.Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// TestRecordHonorsContext: a recording whose request context is already
+// canceled runs no findings pass to completion, appends nothing and counts
+// one history error; the same recording under a live context lands.
+func TestRecordHonorsContext(t *testing.T) {
+	hist := openHistory(t)
+	s := New(NewRegistry("", nil), Config{History: hist})
+	tree := libTree(t, wireTree(1))
+	countRuns := func() int {
+		t.Helper()
+		runs, _, err := hist.QueryString("", findex.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(runs)
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.record(canceled, "score", tree, 42, true)
+	if n, errs := countRuns(), s.historyErrors.Load(); n != 0 || errs != 1 {
+		t.Fatalf("canceled recording: %d runs and %d history errors, want 0 and 1", n, errs)
+	}
+
+	s.record(context.Background(), "score", tree, 42, true)
+	if n, ok := countRuns(), s.historyRuns.Load(); n != 1 || ok != 1 {
+		t.Fatalf("live recording: %d runs stored and %d counted, want 1 and 1", n, ok)
+	}
 }
 
 // TestQueryWithoutHistory pins the no-db contract: a well-formed query is

@@ -485,14 +485,21 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 // (the store has a single writer; holding the slot keeps history pressure
 // under the same admission discipline as the analysis itself), but its
 // outcome only moves counters — a full disk must not turn a perfectly good
-// score into a 500.
+// score into a 500. The findings pass runs on one worker, inline, under the
+// request's context: a request canceled or past its deadline stops between
+// files and appends nothing, which counts as a recording error.
 func (s *Server) record(ctx context.Context, source string, tree *metrics.Tree, score float64, hasScore bool) {
 	if s.cfg.History == nil {
 		return
 	}
 	rs := trace.SpanFromContext(ctx).Child("record")
 	defer rs.End()
-	run := findex.NewRun(tree.Name, source, findings.Collect(tree))
+	rep, err := findings.CollectEach(ctx, tree, 1, findings.SevInfo, nil)
+	if err != nil {
+		s.historyErrors.Add(1)
+		return
+	}
+	run := findex.NewRun(tree.Name, source, rep)
 	if hasScore {
 		run = run.WithScore(score)
 	}

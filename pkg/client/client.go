@@ -273,16 +273,7 @@ func (c *Client) do(req *http.Request, out any) error {
 	}
 	defer closeBody(resp)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var we api.Error
-		if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Error == "" {
-			we = api.Error{Code: api.CodeInternal, Error: fmt.Sprintf("http %d", resp.StatusCode)}
-		}
-		return &APIError{
-			StatusCode: resp.StatusCode,
-			Code:       we.Code,
-			Message:    we.Error,
-			RetryAfter: retryAfterSeconds(resp),
-		}
+		return apiError(resp)
 	}
 	if out == nil {
 		return nil
@@ -291,6 +282,22 @@ func (c *Client) do(req *http.Request, out any) error {
 		return fmt.Errorf("client: decode response: %w", err)
 	}
 	return nil
+}
+
+// apiError decodes a rejected response's JSON error envelope. A body that
+// is not an envelope still yields an *APIError, with the internal code and
+// the HTTP status as its message.
+func apiError(resp *http.Response) *APIError {
+	var we api.Error
+	if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Error == "" {
+		we = api.Error{Code: api.CodeInternal, Error: fmt.Sprintf("http %d", resp.StatusCode)}
+	}
+	return &APIError{
+		StatusCode: resp.StatusCode,
+		Code:       we.Code,
+		Message:    we.Error,
+		RetryAfter: retryAfterSeconds(resp),
+	}
 }
 
 // TreeFromDir loads a source tree from disk into wire form using the same

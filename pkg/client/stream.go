@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -63,10 +64,8 @@ func (c *Client) FindingsStream(ctx context.Context, req api.FindingsRequest, on
 	return rec.Findings, nil
 }
 
-// stream runs one NDJSON request and walks the record sequence until the
-// summary. An on-stream error record is converted to an *APIError with a
-// synthesized status (the wire status was already 200 when the failure
-// happened), so IsDeadline keeps working for mid-stream deadline trips.
+// stream runs one NDJSON request and reads its record sequence with
+// readStream.
 func (c *Client) stream(ctx context.Context, path string, timeoutMS int64, in any, onFile func(api.StreamFile)) (*api.StreamRecord, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -86,19 +85,21 @@ func (c *Client) stream(ctx context.Context, path string, timeoutMS int64, in an
 	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		// Rejected before the stream began: a plain JSON error envelope.
-		var we api.Error
-		if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Error == "" {
-			we = api.Error{Code: api.CodeInternal, Error: fmt.Sprintf("http %d", resp.StatusCode)}
-		}
-		return nil, &APIError{
-			StatusCode: resp.StatusCode,
-			Code:       we.Code,
-			Message:    we.Error,
-			RetryAfter: retryAfterSeconds(resp),
-		}
+		return nil, apiError(resp)
 	}
+	return readStream(resp.Body, onFile)
+}
 
-	sc := bufio.NewScanner(resp.Body)
+// readStream walks an NDJSON record sequence up to its terminating
+// summary or error record and reads nothing after it. It returns the
+// summary record; an error record becomes an *APIError with a synthesized
+// status (the wire status was already 200 when the failure happened), so
+// IsDeadline keeps working for mid-stream deadline trips. onFile, when
+// non-nil, receives every file record before the terminator; heartbeats
+// and blank lines are skipped. A stream that ends without a terminator is
+// an error.
+func readStream(r io.Reader, onFile func(api.StreamFile)) (*api.StreamRecord, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())

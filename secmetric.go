@@ -84,14 +84,15 @@ const (
 	KindBoost      = core.KindBoost
 )
 
-// AnalyzeConfig tunes AnalyzeDirWith / AnalyzeTreeWith.
+// AnalyzeConfig tunes AnalyzeDirWithDiagnostics /
+// AnalyzeTreeWithDiagnostics.
 type AnalyzeConfig struct {
 	// Jobs bounds the per-file deep-analysis worker pool; <= 0 uses every
 	// core. The extracted vector is identical for any value.
 	Jobs int
 	// CacheDir, when non-empty, persists per-file deep-analysis results
 	// keyed by content hash under this directory, so repeated analyses
-	// (per-commit CI runs, compare old/new) only pay for changed files.
+	// (per-commit CI runs) only pay for changed files.
 	CacheDir string
 	// FileTimeout bounds one file's deep analysis; <= 0 (the default)
 	// disables the bound. A file that exceeds it degrades to base metrics
@@ -128,22 +129,17 @@ func TrainContext(ctx context.Context, c *Corpus, cfg TrainConfig) (*Model, erro
 // it: line counts, cyclomatic complexity, Halstead measures, smells, attack
 // surface, lint, taint analysis, and symbolic execution.
 func AnalyzeDir(dir string) (FeatureVector, error) {
-	return AnalyzeDirWith(context.Background(), dir, AnalyzeConfig{})
-}
-
-// AnalyzeDirWith is AnalyzeDir with cancellation, an explicit worker-pool
-// bound, an optional per-file deadline, and an optional persistent feature
-// cache.
-func AnalyzeDirWith(ctx context.Context, dir string, cfg AnalyzeConfig) (FeatureVector, error) {
-	fv, _, err := AnalyzeDirWithDiagnostics(ctx, dir, cfg)
+	fv, _, err := AnalyzeDirWithDiagnostics(context.Background(), dir, AnalyzeConfig{})
 	return fv, err
 }
 
-// AnalyzeDirWithDiagnostics is AnalyzeDirWith plus the per-file account of
-// the run: every file's status (ok / parse-skip / cache-hit / timeout /
-// panic-contained) and the feature-cache traffic. Files whose deep
-// analysis panicked or timed out degrade to base metrics instead of
-// failing the run; the diagnostics name them.
+// AnalyzeDirWithDiagnostics is AnalyzeDir with cancellation, an explicit
+// worker-pool bound, an optional per-file deadline, and an optional
+// persistent feature cache, plus the per-file account of the run: every
+// file's status (ok / parse-skip / cache-hit / timeout / panic-contained)
+// and the feature-cache traffic. Files whose deep analysis panicked or
+// timed out degrade to base metrics instead of failing the run; the
+// diagnostics name them.
 func AnalyzeDirWithDiagnostics(ctx context.Context, dir string, cfg AnalyzeConfig) (FeatureVector, *AnalysisDiagnostics, error) {
 	ls := trace.SpanFromContext(ctx).Child("load")
 	tree, err := metrics.LoadTree(dir)
@@ -162,17 +158,9 @@ func AnalyzeTree(tree *Tree) FeatureVector {
 	return core.ExtractFeatures(tree)
 }
 
-// AnalyzeTreeWith is AnalyzeTree with cancellation, an explicit worker-pool
-// bound, an optional per-file deadline, and an optional persistent feature
-// cache. Unlike AnalyzeTree it rejects an empty tree, exactly as
-// AnalyzeDirWith rejects a directory with no source files.
-func AnalyzeTreeWith(ctx context.Context, tree *Tree, cfg AnalyzeConfig) (FeatureVector, error) {
-	fv, _, err := AnalyzeTreeWithDiagnostics(ctx, tree, cfg)
-	return fv, err
-}
-
-// AnalyzeTreeWithDiagnostics is AnalyzeTreeWith plus the per-file account
-// of the run; see AnalyzeDirWithDiagnostics.
+// AnalyzeTreeWithDiagnostics is AnalyzeDirWithDiagnostics over an
+// in-memory tree. Unlike AnalyzeTree it rejects an empty tree, exactly as
+// AnalyzeDirWithDiagnostics rejects a directory with no source files.
 func AnalyzeTreeWithDiagnostics(ctx context.Context, tree *Tree, cfg AnalyzeConfig) (FeatureVector, *AnalysisDiagnostics, error) {
 	if len(tree.Files) == 0 {
 		return nil, nil, fmt.Errorf("secmetric: no source files in tree %q", tree.Name)
@@ -190,46 +178,6 @@ func analyzeTree(ctx context.Context, tree *Tree, cfg AnalyzeConfig) (FeatureVec
 		ecfg.Cache = cache
 	}
 	return core.ExtractFeaturesDiagnostics(ctx, tree, ecfg)
-}
-
-// Incremental-analysis re-exports: the apply-a-changeset form of the
-// testbed, for callers that track a tree across edits (watch modes, CI
-// bots, the daemon's /v1/delta endpoint).
-type (
-	// Session holds one tree's per-file analysis state and updates the
-	// tree-level feature vector incrementally as changesets arrive. After
-	// any sequence of changesets its Features() is byte-identical to a
-	// fresh full analysis of the same tree.
-	Session = core.Session
-	// SessionChangeset is one edit step: files added, files whose content
-	// changed, and paths removed.
-	SessionChangeset = core.Changeset
-	// SessionResult is the outcome of one applied changeset.
-	SessionResult = core.ApplyResult
-)
-
-// ErrStaleSession reports a changeset that contradicts a session's current
-// file set; recovery is re-seeding with a full Added-only changeset.
-var ErrStaleSession = core.ErrStaleSession
-
-// ErrSessionEmpty rejects a changeset that would leave a session with no
-// files.
-var ErrSessionEmpty = core.ErrSessionEmpty
-
-// NewSession builds an empty incremental session configured like an
-// AnalyzeTreeWith call: the same worker-pool bound, per-file deadline, and
-// optional persistent cache. Seed it by applying an Added-only changeset
-// carrying the full tree.
-func NewSession(name string, cfg AnalyzeConfig) (*Session, error) {
-	ecfg := core.ExtractConfig{Jobs: cfg.Jobs, FileTimeout: cfg.FileTimeout}
-	if cfg.CacheDir != "" {
-		cache, err := featcache.Open(cfg.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("secmetric: %w", err)
-		}
-		ecfg.Cache = cache
-	}
-	return core.NewSession(name, ecfg), nil
 }
 
 // ErrFeatureSchema marks a model file whose feature schema does not match

@@ -85,11 +85,11 @@ int copy(int dst, int n) {
 		t.Fatal(err)
 	}
 	cfg := AnalyzeConfig{Jobs: 2, CacheDir: filepath.Join(t.TempDir(), "cache")}
-	cold, err := AnalyzeDirWith(context.Background(), dir, cfg)
+	cold, _, err := AnalyzeDirWithDiagnostics(context.Background(), dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := AnalyzeDirWith(context.Background(), dir, cfg)
+	warm, _, err := AnalyzeDirWithDiagnostics(context.Background(), dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,24 +110,22 @@ func TestFacadeAnalyzeTreeWithMatchesAnalyzeTree(t *testing.T) {
 	spec.Seed = 99
 	tree := langgen.Generate(spec)
 	plain := AnalyzeTree(tree)
-	cfgd, err := AnalyzeTreeWith(context.Background(), tree, AnalyzeConfig{Jobs: 3})
+	cfgd, _, err := AnalyzeTreeWithDiagnostics(context.Background(), tree, AnalyzeConfig{Jobs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, v := range plain {
 		if cfgd[k] != v {
-			t.Fatalf("AnalyzeTreeWith drifted on %s: %v vs %v", k, cfgd[k], v)
+			t.Fatalf("AnalyzeTreeWithDiagnostics drifted on %s: %v vs %v", k, cfgd[k], v)
 		}
 	}
 }
 
 func TestFacadeAnalyzeTreeWithRejectsEmptyTree(t *testing.T) {
-	// Mirrors AnalyzeDirWith's empty-directory rejection: the two entry
-	// points must agree instead of one silently producing a hollow vector.
+	// Mirrors AnalyzeDirWithDiagnostics' empty-directory rejection: the two
+	// entry points must agree instead of one silently producing a hollow
+	// vector.
 	empty := &Tree{Name: "empty"}
-	if _, err := AnalyzeTreeWith(context.Background(), empty, AnalyzeConfig{}); err == nil {
-		t.Fatal("AnalyzeTreeWith accepted an empty tree")
-	}
 	if _, _, err := AnalyzeTreeWithDiagnostics(context.Background(), empty, AnalyzeConfig{}); err == nil {
 		t.Fatal("AnalyzeTreeWithDiagnostics accepted an empty tree")
 	}

@@ -6,13 +6,13 @@
 # and short native-fuzz smokes over the MiniC parser (the panic source
 # the containment layer most needs to hold against), the query parser,
 # the daemon's wire-to-tree admission, the classifier decoder, the
-# whole model loader in both formats, and the store's page decoder. The
-# servebench module, which the root module's build never reaches, is
-# vetted and tested on its own. Ends with the live
-# secmetricd drills that need real processes: SIGTERM must drain requests
-# in flight cleanly, and a 3-backend fleet behind the consistent-hash
-# shard router must keep every repository's bytes through a SIGKILLed
-# backend and its recovery. The serving contracts that need no process —
+# whole model loader in both formats, the store's page decoder, and the
+# client's NDJSON stream reader. The servebench module, which the root
+# module's build never reaches, is vetted and tested on its own. Ends with
+# the live secmetricd drills that need real processes: SIGTERM must drain
+# requests in flight cleanly, and a 3-backend fleet behind the
+# consistent-hash shard router must keep every repository's bytes through
+# a SIGKILLed backend and its recovery. The serving contracts that need no process —
 # CLI-vs-daemon, batch-vs-stream, delta-vs-cold, and solo-vs-fleet byte
 # parity, 504 deadlines, 429 backpressure — run in go test.
 set -eu
@@ -57,6 +57,9 @@ go test -run Fuzz -fuzz FuzzLoadModel -fuzztime 10s -fuzzminimizetime 5x ./inter
 # bounds checks behind the checksum.
 echo "== fuzz smoke (FuzzDecodeNode, 10s) =="
 go test -run Fuzz -fuzz FuzzDecodeNode -fuzztime 10s ./internal/store
+
+echo "== fuzz smoke (FuzzReadStream, 10s) =="
+go test -run Fuzz -fuzz FuzzReadStream -fuzztime 10s ./pkg/client
 
 echo "== findings smoke (examples/vulnapp) =="
 out=$(go run ./cmd/secmetric findings examples/vulnapp)
