@@ -186,7 +186,7 @@ func cmdFindings(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := secmetric.CollectFindingsDirWith(ctx, fs.Arg(0), *jobs)
+	rep, err := secmetric.CollectFindingsDirWith(ctx, fs.Arg(0), secmetric.AnalyzeConfig{Jobs: *jobs})
 	if err != nil {
 		return err
 	}
@@ -394,7 +394,7 @@ func cmdAnalyze(ctx context.Context, args []string) error {
 		return err
 	}
 	if *history != "" {
-		rep, err := secmetric.CollectFindingsDirWith(ctx, fs.Arg(0), acfg.Jobs)
+		rep, err := secmetric.CollectFindingsDirWith(ctx, fs.Arg(0), *acfg)
 		if err != nil {
 			return err
 		}

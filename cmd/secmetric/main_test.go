@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -588,5 +589,67 @@ func TestCLIMatchesDaemon(t *testing.T) {
 	}
 	if got := cmp.Comparison.String(); got != cliCompare {
 		t.Fatalf("daemon comparison differs from the CLI:\n%s\nvs\n%s", got, cliCompare)
+	}
+}
+
+// TestCLIFindingsMatchesDaemon: `secmetric findings -json` at -jobs 1 and
+// 8 is byte-identical (after canonical re-marshal) to /v1/findings from a
+// daemon at the same pool width, on the daemon's cold request and on its
+// warm one; and `analyze -history` records that report through a cold and
+// then a warm -cache.
+func TestCLIFindingsMatchesDaemon(t *testing.T) {
+	const dir = "../../examples/vulnapp"
+	ctx := context.Background()
+	tree, err := client.TreeFromDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, jobs := range []string{"1", "8"} {
+		cli := canonJSON(t, captureStdout(t, func() error {
+			return run(ctx, []string{"findings", "-jobs", jobs, "-json", dir})
+		}))
+		if want == "" {
+			want = cli
+		} else if cli != want {
+			t.Fatalf("findings -jobs %s differs from -jobs 1:\n%s\nvs\n%s", jobs, cli, want)
+		}
+		n, _ := strconv.Atoi(jobs)
+		ts := httptest.NewServer(server.New(server.NewRegistry("", nil), server.Config{Workers: 1, AnalyzeJobs: n}).Handler())
+		c := client.New(ts.URL)
+		for _, pass := range []string{"cold", "warm"} {
+			resp, err := c.Findings(ctx, api.FindingsRequest{Tree: tree})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := canonJSON(t, resp.Report); got != want {
+				t.Fatalf("jobs=%s %s daemon findings differ from the CLI:\n%s\nvs\n%s", jobs, pass, got, want)
+			}
+		}
+		ts.Close()
+	}
+	if !strings.Contains(want, `"Rule"`) {
+		t.Fatalf("vulnapp has no findings; the parity check is vacuous: %s", want)
+	}
+
+	db := filepath.Join(t.TempDir(), "findings.db")
+	cache := t.TempDir()
+	for i := 0; i < 2; i++ {
+		if err := run(ctx, []string{"analyze", "-cache", cache, "-history", db, dir}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := captureStdout(t, func() error { return run(ctx, []string{"query", "-db", db, "-json", ""}) })
+	var runs []secmetric.HistoryRun
+	if err := json.Unmarshal([]byte(out), &runs); err != nil {
+		t.Fatalf("query output %q: %v", out, err)
+	}
+	if len(runs) != 2 {
+		t.Fatalf("recorded %d runs, want 2", len(runs))
+	}
+	for _, r := range runs {
+		if got := canonJSON(t, &secmetric.FindingsReport{Findings: r.Findings}); got != want {
+			t.Fatalf("analyze -history run %d recorded other findings:\n%s\nvs\n%s", r.Seq, got, want)
+		}
 	}
 }

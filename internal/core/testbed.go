@@ -252,9 +252,10 @@ type fileEnrichment struct {
 
 // AnalysisVersion identifies the deep-analysis implementation baked into
 // enrichFile and its substrates. It is mixed into every feature-cache key,
-// so bumping it invalidates all cached enrichments; bump it whenever any
-// analysis that feeds fileEnrichment changes behavior, lint rules included
-// (see DESIGN.md's AnalysisVersion bump policy).
+// enrichment and findings records alike, so bumping it invalidates both;
+// bump it whenever any analysis that feeds fileEnrichment or
+// findings.AnalyzeFile changes behavior, lint rules included (see
+// DESIGN.md's AnalysisVersion bump policy).
 //
 // v2: interprocedural taint engine + CWE-mapped findings counts.
 // v3: the per-file lint-warning count.
@@ -468,14 +469,11 @@ func enrichFileCached(ctx context.Context, f metrics.File, cfg ExtractConfig, ct
 	return out, status, detail
 }
 
-// enrichFileDeadline runs one file's deep analysis under the per-file
-// deadline. The analysis itself is not preemptible, so a timed-out
-// analysis keeps running on its goroutine until it finishes on its own;
-// its result is discarded and the file degrades immediately. Without a
-// deadline the analysis runs inline on the worker. A degraded file
-// (timeout or contained panic) loses its deep enrichment but still counts
-// its lint warnings: they are recounted here, on the worker and without a
-// span of their own, for the file exactly as given, and never cached.
+// enrichFileDeadline runs one file's deep analysis under runContained's
+// panic boundary and per-file deadline. A degraded file (timeout or
+// contained panic) loses its deep enrichment but still counts its lint
+// warnings: they are recounted here, on the worker and without a span of
+// their own, for the file exactly as given, and never cached.
 //
 // The deep-analysis phases record into a detached span subtree that is
 // adopted into the file span only when the result is accepted. An
@@ -484,41 +482,28 @@ func enrichFileCached(ctx context.Context, f metrics.File, cfg ExtractConfig, ct
 // can never race the trace exporter, at the cost of a timed-out file
 // losing its phase breakdown (its diagnostic already names it).
 func enrichFileDeadline(ctx context.Context, f metrics.File, timeout time.Duration, fs *trace.Span) (fileEnrichment, FileStatus, string) {
-	type result struct {
-		enr    fileEnrichment
-		status FileStatus
-		detail string
-	}
-	var r result
 	deep := fs.Detached("deep")
-	if timeout <= 0 {
-		r.enr, r.status, r.detail = enrichFileSafe(f, deep)
-		deep.End()
-		fs.Adopt(deep, deepSpanSeq)
-	} else {
-		ch := make(chan result, 1) // buffered: the late finisher must not leak forever
-		go func() {
-			enr, status, detail := enrichFileSafe(f, deep)
-			deep.End() // before the send: adoption must never race recording
-			ch <- result{enr, status, detail}
-		}()
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		select {
-		case r = <-ch:
-			fs.Adopt(deep, deepSpanSeq)
-		case <-timer.C:
-			r = result{status: StatusTimeout, detail: fmt.Sprintf("deep analysis exceeded %v; degraded to base metrics", timeout)}
-		case <-ctx.Done():
-			// The whole run is being canceled; the caller discards this
-			// result, so the status only needs to be non-ok.
-			return fileEnrichment{}, StatusTimeout, ctx.Err().Error()
+	enr, status, detail, done := runContained(ctx, timeout, "deep analysis", func() (fileEnrichment, FileStatus, string) {
+		defer deep.End() // before the hand-over: adoption must never race recording
+		if enrichTestHook != nil {
+			enrichTestHook(f)
 		}
+		return enrichFile(f, deep)
+	})
+	switch {
+	case done:
+		fs.Adopt(deep, deepSpanSeq)
+	case ctx.Err() != nil:
+		// The whole run is being canceled; the caller discards this
+		// result, so the status only needs to be non-ok.
+		return fileEnrichment{}, status, detail
+	default:
+		detail += "; degraded to base metrics"
 	}
-	if r.status == StatusTimeout || r.status == StatusPanic {
-		r.enr.LintWarnings = lint.CheckFile(f).Total()
+	if status == StatusTimeout || status == StatusPanic {
+		enr.LintWarnings = lint.CheckFile(f).Total()
 	}
-	return r.enr, r.status, r.detail
+	return enr, status, detail
 }
 
 // enrichTestHook, when non-nil, runs at the top of every file's deep
@@ -527,25 +512,57 @@ func enrichFileDeadline(ctx context.Context, f metrics.File, timeout time.Durati
 // production code never sets it.
 var enrichTestHook func(f metrics.File)
 
-// enrichFileSafe is the panic boundary of the pipeline: a bug anywhere in
-// the deep analyses (symexec, dataflow, callgraph, interp, stats
-// preconditions) is contained to this file, which degrades to a zero
-// enrichment with a StatusPanic diagnostic instead of killing the process.
-// The degradation is deterministic — the same file panics the same way at
-// any pool width — so the determinism contract of ExtractFeaturesWith
-// survives containment.
-func enrichFileSafe(f metrics.File, sp *trace.Span) (enr fileEnrichment, status FileStatus, detail string) {
-	defer func() {
-		if r := recover(); r != nil {
-			enr = fileEnrichment{}
-			status = StatusPanic
-			detail = fmt.Sprintf("deep analysis panicked: %v", r)
-		}
-	}()
-	if enrichTestHook != nil {
-		enrichTestHook(f)
+// runContained is the per-file containment both per-file analyses (the
+// deep enrichment and the findings pass) run under. A panic inside analyze
+// is the panic boundary of the pipeline: a bug anywhere in the analyzers
+// is contained to this file, which degrades to a zero result with a
+// StatusPanic diagnostic naming what panicked, instead of killing the
+// process. The degradation is deterministic — the same file panics the
+// same way at any pool width — so the determinism contract survives
+// containment.
+//
+// With a positive timeout, analyze runs on its own goroutine. The
+// analyzers are not preemptible, so one that outlives the deadline keeps
+// running until it finishes on its own; its result is discarded and the
+// file degrades immediately to a zero result with StatusTimeout. A
+// canceled ctx stops the wait the same way, with ctx's error as the
+// detail. Without a timeout, analyze runs inline on the worker. done
+// reports whether analyze's own outcome (a result or a contained panic)
+// was used.
+func runContained[T any](ctx context.Context, timeout time.Duration, what string, analyze func() (T, FileStatus, string)) (out T, status FileStatus, detail string, done bool) {
+	safe := func() (out T, status FileStatus, detail string) {
+		defer func() {
+			if r := recover(); r != nil {
+				var zero T
+				out, status, detail = zero, StatusPanic, fmt.Sprintf("%s panicked: %v", what, r)
+			}
+		}()
+		return analyze()
 	}
-	return enrichFile(f, sp)
+	if timeout <= 0 {
+		out, status, detail = safe()
+		return out, status, detail, true
+	}
+	type result struct {
+		out    T
+		status FileStatus
+		detail string
+	}
+	ch := make(chan result, 1) // buffered: the late finisher must not leak forever
+	go func() {
+		out, status, detail := safe()
+		ch <- result{out, status, detail}
+	}()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case r := <-ch:
+		return r.out, r.status, r.detail, true
+	case <-timer.C:
+		return out, StatusTimeout, fmt.Sprintf("%s exceeded %v", what, timeout), false
+	case <-ctx.Done():
+		return out, StatusTimeout, ctx.Err().Error(), false
+	}
 }
 
 // enrichFile runs the deep analyses over one file; files that do not parse

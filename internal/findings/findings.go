@@ -8,7 +8,6 @@
 package findings
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/lint"
 	"repro/internal/metrics"
 	"repro/internal/minic"
-	"repro/internal/ml"
 )
 
 // Severity ranks findings for triage.
@@ -189,15 +187,23 @@ type FileAnalysis struct {
 	LintWarnings int
 }
 
+// Language is the language AnalyzeFile analyzes f at: f's own, else the
+// one its path names.
+func Language(f metrics.File) lang.Language {
+	if f.Language == lang.Unknown {
+		return lang.FromPath(f.Path)
+	}
+	return f.Language
+}
+
 // AnalyzeFile runs every findings producer over one file. The token-level
 // lint rules apply to any language; the taint engine and abstract
 // interpreter additionally require the file to parse as MiniC. The result
-// is deterministic in the file bytes and sorted by (line, rule, message).
+// is deterministic in the file bytes and Language(f), and sorted by (line,
+// rule, message); the path only fills each finding's File.
 func AnalyzeFile(f metrics.File) FileAnalysis {
 	var fa FileAnalysis
-	if f.Language == lang.Unknown {
-		f.Language = lang.FromPath(f.Path)
-	}
+	f.Language = Language(f)
 
 	// Lint battery (token rules always, AST rules when MiniC-parseable).
 	rep := lint.Check(metrics.NewTree(f.Path, f))
@@ -284,31 +290,10 @@ type Report struct {
 	Findings []Finding
 }
 
-// Collect runs AnalyzeFile over every file of the tree and merges the
-// streams, sorted by (file, line, rule, message).
-func Collect(t *metrics.Tree) *Report {
-	rep, _ := CollectEach(context.Background(), t, 1, SevInfo, nil)
-	return rep
-}
-
-// CollectEach is Collect on a pool of at most jobs workers (jobs <= 0 uses
-// every core), keeping only findings at or above minSev. fileDone, when
-// non-nil, receives file i's kept findings, sorted, as soon as that file is
-// analyzed — in completion order, concurrently from the pool's workers. The
-// report is the same at every jobs. A canceled ctx stops the pool and is
-// returned as the error.
-func CollectEach(ctx context.Context, t *metrics.Tree, jobs int, minSev Severity, fileDone func(i int, kept []Finding)) (*Report, error) {
-	perFile := make([][]Finding, len(t.Files))
-	err := ml.ParallelForCtx(ctx, len(t.Files), jobs, func(i int) error {
-		perFile[i] = (&Report{Findings: AnalyzeFile(t.Files[i]).Findings}).MinSeverity(minSev).Findings
-		if fileDone != nil {
-			fileDone(i, perFile[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+// Merge folds per-file findings lists, in the order given, into the
+// tree-level report, sorted by (file, line, rule, message). The sort is
+// stable, so findings equal on all four keep their per-file order.
+func Merge(perFile [][]Finding) *Report {
 	rep := &Report{}
 	for _, kept := range perFile {
 		rep.Findings = append(rep.Findings, kept...)
@@ -326,7 +311,7 @@ func CollectEach(ctx context.Context, t *metrics.Tree, jobs int, minSev Severity
 		}
 		return a.Message < b.Message
 	})
-	return rep, nil
+	return rep
 }
 
 // Total returns the finding count.

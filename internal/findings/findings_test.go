@@ -29,8 +29,17 @@ func tree(name, src string) *metrics.Tree {
 	return metrics.NewTree(name, metrics.File{Path: name + ".c", Content: src})
 }
 
+// collect analyzes every file of the tree and merges the per-file lists.
+func collect(t *metrics.Tree) *Report {
+	perFile := make([][]Finding, len(t.Files))
+	for i, f := range t.Files {
+		perFile[i] = AnalyzeFile(f).Findings
+	}
+	return Merge(perFile)
+}
+
 func TestCollectCrossFunctionCWE121(t *testing.T) {
-	rep := Collect(tree("vuln", vulnSrc))
+	rep := collect(tree("vuln", vulnSrc))
 	if rep.CountCWE(121) == 0 {
 		t.Fatalf("cross-function unchecked copy not tagged CWE-121:\n%s", rep)
 	}
@@ -66,7 +75,7 @@ func TestAnalyzeFileAggregates(t *testing.T) {
 func TestLintFindingsMapped(t *testing.T) {
 	// gets() is an unsafe call (CWE-676) and printf(var) a format string
 	// issue (CWE-134) even before any taint reasoning.
-	rep := Collect(tree("lint", `
+	rep := collect(tree("lint", `
 int main(void) {
 	int buf = 0;
 	gets(buf);
@@ -82,7 +91,7 @@ int main(void) {
 }
 
 func TestAbsintFindingsMapped(t *testing.T) {
-	rep := Collect(tree("abs", `
+	rep := collect(tree("abs", `
 int main(int n) {
 	int arr[8];
 	int x = arr[n - 300];
@@ -98,7 +107,7 @@ int main(int n) {
 }
 
 func TestUnmappedRulesKept(t *testing.T) {
-	rep := Collect(tree("goto", `
+	rep := collect(tree("goto", `
 int main(void) {
 	goto done;
 done:
@@ -154,7 +163,7 @@ func TestMappedCWEsExistInTaxonomy(t *testing.T) {
 }
 
 func TestMinSeverity(t *testing.T) {
-	rep := Collect(tree("vuln", vulnSrc))
+	rep := collect(tree("vuln", vulnSrc))
 	high := rep.MinSeverity(SevHigh)
 	if high.Total() == 0 || high.Total() >= rep.Total() {
 		t.Fatalf("MinSeverity(high): %d of %d", high.Total(), rep.Total())
@@ -167,14 +176,14 @@ func TestMinSeverity(t *testing.T) {
 }
 
 func TestCollectDeterministic(t *testing.T) {
-	first := Collect(tree("vuln", vulnSrc))
+	first := collect(tree("vuln", vulnSrc))
 	for i := 0; i < 10; i++ {
-		again := Collect(tree("vuln", vulnSrc))
+		again := collect(tree("vuln", vulnSrc))
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("findings differ across runs")
 		}
 	}
-	if first.String() != Collect(tree("vuln", vulnSrc)).String() {
+	if first.String() != collect(tree("vuln", vulnSrc)).String() {
 		t.Fatalf("rendered report differs across runs")
 	}
 }

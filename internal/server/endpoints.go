@@ -222,19 +222,21 @@ var endpoints = []mounter{
 			}
 			return p, nil
 		},
-		// Each file record carries that file's severity-filtered, sorted
-		// findings; the batch sort key (file, line, rule, message) groups by
-		// file first, so the records concatenated in path order are exactly
-		// the summary's report.
+		// Each file record carries that file's status and its
+		// severity-filtered, sorted findings; the batch sort key (file,
+		// line, rule, message) groups by file first, so the records
+		// concatenated in path order are exactly the summary's report. A
+		// degraded file's record names its status, and the stream then ends
+		// in an error record, as the batch route answers an error.
 		work: func(ctx context.Context, s *Server, _ *api.FindingsRequest, p prepared, onFile func(api.StreamFile)) (*api.FindingsResponse, error) {
-			var fileDone func(int, []findings.Finding)
+			var fileDone func(int, core.FileDiagnostic, []findings.Finding)
 			if onFile != nil {
-				fileDone = func(i int, kept []findings.Finding) {
-					onFile(api.StreamFile{Path: p.tree.Files[i].Path, Status: string(core.StatusOK), Findings: kept})
+				fileDone = func(_ int, d core.FileDiagnostic, kept []findings.Finding) {
+					onFile(api.StreamFile{Path: d.Path, Status: string(d.Status), Detail: d.Detail, Findings: kept})
 				}
 			}
 			cs := trace.SpanFromContext(ctx).Child("collect")
-			rep, err := findings.CollectEach(ctx, p.tree, s.cfg.AnalyzeJobs, p.sev, fileDone)
+			rep, err := s.collect(ctx, p.tree, p.sev, fileDone)
 			cs.End()
 			if err != nil {
 				return nil, err

@@ -14,12 +14,13 @@ import (
 // against the Prometheus text-format histogram contract: buckets are
 // cumulative and monotone non-decreasing in le order, the +Inf bucket
 // equals _count, every observation is inside sum, and every exported family
-// carries HELP and TYPE headers.
+// carries HELP and TYPE headers. The daemon records a history, so the
+// store gauges are audited too.
 func TestHistogramConformance(t *testing.T) {
 	mA, _ := getModels(t)
 	reg := NewRegistry("", nil)
 	reg.Register("default", mA)
-	_, ts := newTestServer(t, reg, Config{Workers: 2})
+	_, ts := newTestServer(t, reg, Config{Workers: 2, History: openHistory(t)})
 
 	// Mixed traffic: successes, a 404, two endpoints.
 	for i := 0; i < 3; i++ {
@@ -30,6 +31,11 @@ func TestHistogramConformance(t *testing.T) {
 
 	text := getMetrics(t, ts.URL)
 	exp := parseExposition(t, text)
+
+	// The recorded scores left B+tree pages in the store's page cache.
+	if cached := exp.families["secmetricd_store_cached_pages"]; len(cached) != 1 || cached[0].value <= 0 {
+		t.Errorf("secmetricd_store_cached_pages = %+v, want one positive sample", cached)
+	}
 
 	// Every family has headers.
 	for fam := range exp.families {

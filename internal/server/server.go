@@ -400,6 +400,20 @@ func (s *Server) analyze(ctx context.Context, tree *metrics.Tree, fileDone func(
 	})
 }
 
+// collect runs the findings collector for one request with the extraction
+// pipeline's pool width, shared feature cache and per-file deadline, so a
+// file's findings are analyzed once per content and then read from the
+// cache by every consumer.
+func (s *Server) collect(ctx context.Context, tree *metrics.Tree, minSev findings.Severity, fileDone func(i int, d core.FileDiagnostic, kept []findings.Finding)) (*findings.Report, error) {
+	return core.CollectFindings(ctx, tree, core.FindingsConfig{
+		Jobs:        s.cfg.AnalyzeJobs,
+		Cache:       s.cache,
+		FileTimeout: s.cfg.FileTimeout,
+		MinSeverity: minSev,
+		FileDone:    fileDone,
+	})
+}
+
 // toTree converts a wire tree to the analyzer's representation, applying
 // the same discipline as the CLI's directory loader: admitPath's rule per
 // file, then files sorted by path. An empty result (nothing analyzable) or
@@ -485,16 +499,18 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 // (the store has a single writer; holding the slot keeps history pressure
 // under the same admission discipline as the analysis itself), but its
 // outcome only moves counters — a full disk must not turn a perfectly good
-// score into a 500. The findings pass runs on one worker, inline, under the
-// request's context: a request canceled or past its deadline stops between
-// files and appends nothing, which counts as a recording error.
+// score into a 500. The findings come from the collector under the
+// request's context, so a file the request's extraction just analyzed is
+// usually a findings-record hit. A request canceled or past its deadline,
+// or a file whose findings analysis panicked or timed out, appends nothing
+// and counts as a recording error.
 func (s *Server) record(ctx context.Context, source string, tree *metrics.Tree, score float64, hasScore bool) {
 	if s.cfg.History == nil {
 		return
 	}
 	rs := trace.SpanFromContext(ctx).Child("record")
 	defer rs.End()
-	rep, err := findings.CollectEach(ctx, tree, 1, findings.SevInfo, nil)
+	rep, err := s.collect(ctx, tree, findings.SevInfo, nil)
 	if err != nil {
 		s.historyErrors.Add(1)
 		return
@@ -568,10 +584,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.tel.write(w)
 	hits, misses := s.cache.Stats()
-	fmt.Fprintln(w, "# HELP secmetricd_featcache_hits_total Shared feature-cache hits.")
+	fmt.Fprintln(w, "# HELP secmetricd_featcache_hits_total Shared feature-cache hits, enrichment and findings records alike.")
 	fmt.Fprintln(w, "# TYPE secmetricd_featcache_hits_total counter")
 	fmt.Fprintf(w, "secmetricd_featcache_hits_total %d\n", hits)
-	fmt.Fprintln(w, "# HELP secmetricd_featcache_misses_total Shared feature-cache misses.")
+	fmt.Fprintln(w, "# HELP secmetricd_featcache_misses_total Shared feature-cache misses, enrichment and findings records alike.")
 	fmt.Fprintln(w, "# TYPE secmetricd_featcache_misses_total counter")
 	fmt.Fprintf(w, "secmetricd_featcache_misses_total %d\n", misses)
 	fmt.Fprintln(w, "# HELP secmetricd_featcache_corrupt_total Disk cache entries that failed validation on read (counted, then treated as misses).")
@@ -607,6 +623,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "# HELP secmetricd_store_wal_bytes Current write-ahead-log length of the history store.")
 		fmt.Fprintln(w, "# TYPE secmetricd_store_wal_bytes gauge")
 		fmt.Fprintf(w, "secmetricd_store_wal_bytes %d\n", st.WALBytes)
+		fmt.Fprintln(w, "# HELP secmetricd_store_cached_pages Pages resident in the history store's page cache (B+tree nodes, plus row pages not yet checkpointed).")
+		fmt.Fprintln(w, "# TYPE secmetricd_store_cached_pages gauge")
+		fmt.Fprintf(w, "secmetricd_store_cached_pages %d\n", st.CachedPages)
 		fmt.Fprintln(w, "# HELP secmetricd_store_commits_total Committed history-store transactions since open.")
 		fmt.Fprintln(w, "# TYPE secmetricd_store_commits_total counter")
 		fmt.Fprintf(w, "secmetricd_store_commits_total %d\n", st.Commits)

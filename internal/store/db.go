@@ -73,7 +73,11 @@ type DB struct {
 	// cache holds immutable sealed page images. dirty marks pages that
 	// live only in the WAL (not yet checkpointed); they are pinned — only
 	// clean pages are evicted, which is what makes reader preads on cache
-	// misses safe against concurrent checkpoint writes.
+	// misses safe against concurrent checkpoint writes. An overflow page
+	// (a slice of a value over maxInlineValue) is resident only while it
+	// is dirty: a checkpoint drops it, and a read of a clean one is served
+	// from the page file without caching it, so the bound holds B+tree
+	// nodes rather than write-once row values.
 	cache map[uint64][]byte
 	dirty map[uint64]struct{}
 	fl    *freelist
@@ -217,7 +221,7 @@ func (db *DB) rebuildFreelist() error {
 				if n.ovf[i] == 0 {
 					continue
 				}
-				ids, err := overflowChain(n.ovf[i], db.readPage)
+				ids, err := overflowChain(n.ovf[i], int(n.vlen[i]), db.readPage)
 				if err != nil {
 					return err
 				}
@@ -253,7 +257,8 @@ func (db *DB) rebuildFreelist() error {
 }
 
 // readPage returns the immutable sealed image of a committed page, from
-// cache or the page file (checksum-verified). Safe concurrently.
+// cache or the page file (checksum-verified). A clean overflow page read
+// from the file is not cached. Safe concurrently.
 func (db *DB) readPage(pgid uint64) ([]byte, error) {
 	db.mu.Lock()
 	if db.closed {
@@ -271,6 +276,9 @@ func (db *DB) readPage(pgid uint64) ([]byte, error) {
 	}
 	if err := checkPage(buf, pgid); err != nil {
 		return nil, err
+	}
+	if pageFlags(buf) == flagOverflow {
+		return buf, nil
 	}
 	db.mu.Lock()
 	db.cache[pgid] = buf
@@ -312,9 +320,10 @@ func (db *DB) minActiveLocked() uint64 {
 // failLocked marks the database sticky-failed. Called with mu held.
 func (db *DB) failLocked() { db.failed = true }
 
-// checkpoint migrates WAL-resident pages into the page file and resets the
-// log. Sequence: sync WAL → write dirty pages → fsync page file → write
-// meta → fsync → truncate WAL. A crash at any point is safe: until the new
+// checkpoint migrates WAL-resident pages into the page file, drops the
+// overflow pages among them from the cache, and resets the log. Sequence:
+// sync WAL → write dirty pages → fsync page file → write meta → fsync →
+// truncate WAL. A crash at any point is safe: until the new
 // meta is durable, recovery replays the old meta plus the (fully synced)
 // WAL, which contains exactly the pages being written here.
 //
@@ -360,8 +369,11 @@ func (db *DB) checkpoint() error {
 		return fmt.Errorf("store: checkpoint wal reset: %w", err)
 	}
 	db.mu.Lock()
-	for _, pgid := range pgids {
+	for i, pgid := range pgids {
 		delete(db.dirty, pgid)
+		if pageFlags(pages[i]) == flagOverflow {
+			delete(db.cache, pgid)
+		}
 	}
 	db.checkpoints++
 	db.evictLocked()

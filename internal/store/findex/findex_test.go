@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cwe"
 	"repro/internal/findings"
+	"repro/internal/store"
 )
 
 func openTemp(t *testing.T) *Store {
@@ -328,4 +329,59 @@ func TestExplainCounters(t *testing.T) {
 			t.Errorf("%s: explain %+v, want index %q, %d candidates, %d matched", c.src, ex, c.index, c.candidates, c.match)
 		}
 	}
+}
+
+// BenchmarkGetLargeRun reads back recorded runs of about 25 KB each (a
+// scored 16-file tree's findings), 200 of them appended and then reopened,
+// so every row page is clean. A row spans several overflow pages, which the
+// page cache does not keep once clean: each Get reads them from the page
+// file. cached_pages reports what stays resident (the B+tree nodes) out of
+// pages.
+func BenchmarkGetLargeRun(b *testing.B) {
+	const runs = 200
+	path := filepath.Join(b.TempDir(), "findex.db")
+	db, err := store.Open(path, store.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := OpenDB(db)
+	rep := &findings.Report{}
+	for i := 0; ; i++ {
+		run := NewRun("repo", "score", rep)
+		if raw, _ := json.Marshal(&run); len(raw) >= 25<<10 {
+			break
+		}
+		rep.Findings = append(rep.Findings, findings.Finding{
+			Rule:     "lint/unsafe-call",
+			CWE:      676,
+			File:     fmt.Sprintf("src/file%02d.mc", i%16),
+			Line:     i + 1,
+			Severity: findings.SevMedium,
+			Message:  "call to unsafe API strcpy",
+		})
+	}
+	for i := 0; i < runs; i++ {
+		if _, err := s.Append(NewRun("repo", "score", rep).WithScore(float64(i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if db, err = store.Open(path, store.Options{NoSync: true}); err != nil {
+		b.Fatal(err)
+	}
+	s = OpenDB(db)
+	defer s.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run, ok, err := s.Get("repo", uint64(i%runs)+1)
+		if err != nil || !ok || len(run.Findings) != len(rep.Findings) {
+			b.Fatalf("get %d: found=%v err=%v", i%runs+1, ok, err)
+		}
+	}
+	b.StopTimer()
+	st := db.Stats()
+	b.ReportMetric(float64(st.CachedPages), "cached_pages")
+	b.ReportMetric(float64(st.PageCount), "pages")
 }

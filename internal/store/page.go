@@ -90,8 +90,11 @@ func encodeOverflow(val []byte, alloc func() uint64, emit func(pgid uint64, page
 // readOverflow reassembles a value of total length vlen from the chain at
 // head, reading pages through read. It validates chain structure and total
 // length so a damaged chain surfaces as ErrCorrupt, never a short value.
+// The chain must have encodeOverflow's shape: every page carries bytes and
+// every page but the last is full. Each hop therefore adds a byte, so even
+// a chain that loops back on itself ends at its declared length.
 func readOverflow(head uint64, vlen int, read func(pgid uint64) ([]byte, error)) ([]byte, error) {
-	out := make([]byte, 0, vlen)
+	out := make([]byte, 0, min(vlen, maxPreallocValue))
 	pgid := head
 	for pgid != 0 {
 		p, err := read(pgid)
@@ -101,12 +104,15 @@ func readOverflow(head uint64, vlen int, read func(pgid uint64) ([]byte, error))
 		if pageFlags(p) != flagOverflow {
 			return nil, fmt.Errorf("%w: page %d is not an overflow page", ErrCorrupt, pgid)
 		}
-		n := int(pageDataLen(p))
-		if n > payloadSize || len(out)+n > vlen {
+		n, next := int(pageDataLen(p)), pageNext(p)
+		if n == 0 || n > payloadSize || (next != 0 && n != payloadSize) {
+			return nil, fmt.Errorf("%w: overflow page %d carries %d bytes", ErrCorrupt, pgid, n)
+		}
+		if len(out)+n > vlen {
 			return nil, fmt.Errorf("%w: overflow chain at %d overruns its declared length", ErrCorrupt, head)
 		}
 		out = append(out, p[pageHeaderSize:pageHeaderSize+n]...)
-		pgid = pageNext(p)
+		pgid = next
 	}
 	if len(out) != vlen {
 		return nil, fmt.Errorf("%w: overflow chain at %d is short (%d of %d bytes)", ErrCorrupt, head, len(out), vlen)
@@ -114,11 +120,16 @@ func readOverflow(head uint64, vlen int, read func(pgid uint64) ([]byte, error))
 	return out, nil
 }
 
-// overflowChain lists the page ids of a chain (for freeing).
-func overflowChain(head uint64, read func(pgid uint64) ([]byte, error)) ([]uint64, error) {
+// overflowChain lists the page ids of the chain at head holding a value of
+// vlen bytes (for freeing). A chain longer than encodeOverflow makes for
+// vlen, a loop among them, is refused.
+func overflowChain(head uint64, vlen int, read func(pgid uint64) ([]byte, error)) ([]uint64, error) {
 	var ids []uint64
 	pgid := head
 	for pgid != 0 {
+		if len(ids) == (vlen+payloadSize-1)/payloadSize {
+			return nil, fmt.Errorf("%w: overflow chain at %d is longer than its declared length", ErrCorrupt, head)
+		}
 		ids = append(ids, pgid)
 		p, err := read(pgid)
 		if err != nil {
@@ -128,9 +139,6 @@ func overflowChain(head uint64, read func(pgid uint64) ([]byte, error)) ([]uint6
 			return nil, fmt.Errorf("%w: page %d is not an overflow page", ErrCorrupt, pgid)
 		}
 		pgid = pageNext(p)
-		if len(ids) > 1<<20 {
-			return nil, fmt.Errorf("%w: overflow chain at %d does not terminate", ErrCorrupt, head)
-		}
 	}
 	return ids, nil
 }

@@ -45,6 +45,11 @@ const (
 	// larger values spill to an overflow page chain.
 	maxInlineValue = 1024
 
+	// maxPreallocValue caps the buffer readOverflow reserves up front, so
+	// a damaged cell declaring a huge length costs at most this much
+	// before its short chain is refused.
+	maxPreallocValue = 1 << 20
+
 	// firstDataPage: pages 0 and 1 are the alternating meta slots.
 	firstDataPage = 2
 )
@@ -80,8 +85,9 @@ type Options struct {
 	// this many bytes; <= 0 uses 4 MiB. Checkpoints also run at Close.
 	CheckpointWALBytes int64
 	// CacheLimitPages bounds the in-memory page cache; clean pages beyond
-	// it are evicted (dirty pages are pinned until checkpointed). <= 0
-	// uses 16384 pages (64 MiB).
+	// it are evicted (dirty pages are pinned until checkpointed). Clean
+	// overflow pages are never cached, so the bound is spent on B+tree
+	// nodes. <= 0 uses 16384 pages (64 MiB).
 	CacheLimitPages int
 	// CrashWALBytes, when > 0, injects a crash once that many cumulative
 	// bytes have been appended to the WAL (counted across checkpoints):
@@ -124,7 +130,8 @@ type Stats struct {
 	// pages freed but still pinned by (or awaiting release of) snapshots.
 	FreePages    int
 	PendingPages int
-	// CachedPages is the in-memory page cache's population.
+	// CachedPages is the in-memory page cache's population: B+tree nodes,
+	// plus the overflow pages not yet checkpointed.
 	CachedPages int
 	// WALBytes is the current WAL length.
 	WALBytes int64

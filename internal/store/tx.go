@@ -73,9 +73,9 @@ func (tx *Tx) freePage(pgid uint64) {
 	tx.freed = append(tx.freed, pgid)
 }
 
-// freeChain retires a whole overflow chain.
-func (tx *Tx) freeChain(head uint64) error {
-	ids, err := overflowChain(head, tx.readRaw)
+// freeChain retires the whole overflow chain of leaf cell i.
+func (tx *Tx) freeChain(n *node, i int) error {
+	ids, err := overflowChain(n.ovf[i], int(n.vlen[i]), tx.readRaw)
 	if err != nil {
 		return err
 	}
@@ -193,7 +193,7 @@ func (tx *Tx) insert(pgid uint64, key, val []byte, ovf uint64, vlen uint32) (uin
 		i, found := n.search(key)
 		if found {
 			if n.ovf[i] != 0 {
-				if err := tx.freeChain(n.ovf[i]); err != nil {
+				if err := tx.freeChain(n, i); err != nil {
 					return 0, nil, nil, err
 				}
 			}
@@ -281,7 +281,7 @@ func (tx *Tx) remove(pgid uint64, key []byte) (uint64, []byte, bool, bool, error
 			return 0, nil, false, false, err
 		}
 		if n.ovf[i] != 0 {
-			if err := tx.freeChain(n.ovf[i]); err != nil {
+			if err := tx.freeChain(n, i); err != nil {
 				return 0, nil, false, false, err
 			}
 		}

@@ -169,15 +169,24 @@ func AnalyzeTreeWithDiagnostics(ctx context.Context, tree *Tree, cfg AnalyzeConf
 }
 
 func analyzeTree(ctx context.Context, tree *Tree, cfg AnalyzeConfig) (FeatureVector, *AnalysisDiagnostics, error) {
-	ecfg := core.ExtractConfig{Jobs: cfg.Jobs, FileTimeout: cfg.FileTimeout}
-	if cfg.CacheDir != "" {
-		cache, err := featcache.Open(cfg.CacheDir)
-		if err != nil {
-			return nil, nil, fmt.Errorf("secmetric: %w", err)
-		}
-		ecfg.Cache = cache
+	cache, err := cfg.cache()
+	if err != nil {
+		return nil, nil, err
 	}
-	return core.ExtractFeaturesDiagnostics(ctx, tree, ecfg)
+	return core.ExtractFeaturesDiagnostics(ctx, tree, core.ExtractConfig{Jobs: cfg.Jobs, Cache: cache, FileTimeout: cfg.FileTimeout})
+}
+
+// cache opens the feature cache CacheDir names, or returns nil when it
+// names none.
+func (cfg AnalyzeConfig) cache() (*featcache.Cache, error) {
+	if cfg.CacheDir == "" {
+		return nil, nil
+	}
+	cache, err := featcache.Open(cfg.CacheDir)
+	if err != nil {
+		return nil, fmt.Errorf("secmetric: %w", err)
+	}
+	return cache, nil
 }
 
 // ErrFeatureSchema marks a model file whose feature schema does not match
@@ -263,9 +272,16 @@ func ParseSeverity(name string) (FindingSeverity, error) {
 	return findings.ParseSeverity(name)
 }
 
-// CollectFindings runs every findings producer over an in-memory tree.
-func CollectFindings(tree *Tree) *FindingsReport {
-	return findings.Collect(tree)
+// ErrFindingsDegraded marks a findings collection in which some file's
+// analysis panicked or timed out; the collection returns it instead of a
+// report that would be missing that file's findings.
+var ErrFindingsDegraded = core.ErrFindingsDegraded
+
+// CollectFindings runs every findings producer over an in-memory tree. A
+// file whose analysis panics fails the collection with ErrFindingsDegraded
+// instead of going missing from the report.
+func CollectFindings(tree *Tree) (*FindingsReport, error) {
+	return core.CollectFindings(context.Background(), tree, core.FindingsConfig{Jobs: 1})
 }
 
 // HistoryRun is one persisted analysis run in the findings history — the
@@ -277,14 +293,18 @@ type HistoryRun = findex.Run
 // CollectFindingsDir loads a source tree from disk and collects its
 // CWE-mapped findings stream.
 func CollectFindingsDir(dir string) (*FindingsReport, error) {
-	return CollectFindingsDirWith(context.Background(), dir, 1)
+	return CollectFindingsDirWith(context.Background(), dir, AnalyzeConfig{Jobs: 1})
 }
 
-// CollectFindingsDirWith is CollectFindingsDir with cancellation and a
-// per-file worker-pool bound (jobs <= 0 uses every core). The report is
-// the same at every jobs; canceling ctx stops the pool and returns its
-// error.
-func CollectFindingsDirWith(ctx context.Context, dir string, jobs int) (*FindingsReport, error) {
+// CollectFindingsDirWith is CollectFindingsDir under the configuration
+// analysis takes: a per-file worker-pool bound, the persistent feature
+// cache (each file's findings list is a record of its own there, so a
+// repeated run only analyzes changed files), and the per-file deadline.
+// The report is the same at every Jobs, cold or warm. A file whose
+// analysis panics or times out fails the collection with
+// ErrFindingsDegraded rather than going missing from the report;
+// canceling ctx stops the pool and returns its error.
+func CollectFindingsDirWith(ctx context.Context, dir string, cfg AnalyzeConfig) (*FindingsReport, error) {
 	tree, err := metrics.LoadTree(dir)
 	if err != nil {
 		return nil, fmt.Errorf("secmetric: %w", err)
@@ -292,7 +312,11 @@ func CollectFindingsDirWith(ctx context.Context, dir string, jobs int) (*Finding
 	if len(tree.Files) == 0 {
 		return nil, fmt.Errorf("secmetric: no source files under %s", dir)
 	}
-	rep, err := findings.CollectEach(ctx, tree, jobs, findings.SevInfo, nil)
+	cache, err := cfg.cache()
+	if err != nil {
+		return nil, err
+	}
+	rep, err := core.CollectFindings(ctx, tree, core.FindingsConfig{Jobs: cfg.Jobs, Cache: cache, FileTimeout: cfg.FileTimeout})
 	if err != nil {
 		return nil, fmt.Errorf("secmetric: %w", err)
 	}

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/langgen"
+	"repro/internal/metrics"
 )
 
 var (
@@ -273,5 +275,26 @@ func TestFacadeCompare(t *testing.T) {
 	cmp := model.Compare("clean", cleanFV, "dirty", dirtyFV)
 	if cmp.DeltaRisk <= 0 {
 		t.Fatalf("injected vulnerabilities lowered risk: %s", cmp.Verdict())
+	}
+}
+
+// TestFacadeCollectFindingsDegraded: a file whose findings analysis panics
+// fails the facade's collection with ErrFindingsDegraded; without the
+// fault the same tree collects its findings.
+func TestFacadeCollectFindingsDegraded(t *testing.T) {
+	tree := langgen.Generate(langgen.DefaultSpec())
+	victim := tree.Files[0].Path
+	restore := core.SetFindingsTestHook(func(f metrics.File) {
+		if f.Path == victim {
+			panic("injected findings bug")
+		}
+	})
+	rep, err := CollectFindings(tree)
+	restore()
+	if !errors.Is(err, ErrFindingsDegraded) || rep != nil {
+		t.Fatalf("report %v, err %v; want no report and ErrFindingsDegraded", rep, err)
+	}
+	if rep, err := CollectFindings(tree); err != nil || rep.Total() == 0 {
+		t.Fatalf("healed collection: %v findings, err %v", rep, err)
 	}
 }

@@ -6,8 +6,8 @@
 # and short native-fuzz smokes over the MiniC parser (the panic source
 # the containment layer most needs to hold against), the query parser,
 # the daemon's wire-to-tree admission, the classifier decoder, the
-# whole model loader in both formats, the store's page decoder, and the
-# client's NDJSON stream reader. The servebench module, which the root
+# whole model loader in both formats, the store's page decoder and
+# overflow-chain reader, and the client's NDJSON stream reader. The servebench module, which the root
 # module's build never reaches, is vetted and tested on its own. Ends with
 # the live secmetricd drills that need real processes: SIGTERM must drain
 # requests in flight cleanly, and a 3-backend fleet behind the
@@ -57,6 +57,12 @@ go test -run Fuzz -fuzz FuzzLoadModel -fuzztime 10s -fuzzminimizetime 5x ./inter
 # bounds checks behind the checksum.
 echo "== fuzz smoke (FuzzDecodeNode, 10s) =="
 go test -run Fuzz -fuzz FuzzDecodeNode -fuzztime 10s ./internal/store
+
+# FuzzReadOverflow re-seals its pages the same way. Its seeds are chains of
+# several 4 KiB pages; minimizing one new input of that size takes the
+# default 60 s, so cap it at 5 runs as for FuzzLoadModel.
+echo "== fuzz smoke (FuzzReadOverflow, 10s) =="
+go test -run Fuzz -fuzz FuzzReadOverflow -fuzztime 10s -fuzzminimizetime 5x ./internal/store
 
 echo "== fuzz smoke (FuzzReadStream, 10s) =="
 go test -run Fuzz -fuzz FuzzReadStream -fuzztime 10s ./pkg/client
