@@ -8,7 +8,7 @@ import (
 )
 
 // Binary classifier codec. Tree ensembles dominate model size and load
-// time, so they serialize as their compiled flat arrays — four int32s and a
+// time, so they serialize as their flat arrays — four int32s and a
 // float64 per node, streamed little-endian — instead of recursive JSON.
 // Every other classifier kind falls back to the JSON envelope, wrapped under
 // a tag byte so one blob format carries both.
@@ -34,10 +34,10 @@ func MarshalClassifierBinary(c Classifier) ([]byte, error) {
 		}
 		return appendFlatForest([]byte{binTagForest}, m.flat), nil
 	case *DecisionTree:
-		if m.root == nil {
+		if m.flat == nil {
 			return nil, fmt.Errorf("ml: binary marshal of unfitted DecisionTree")
 		}
-		return appendFlatForest([]byte{binTagTree}, compileForest([]*DecisionTree{m}, m.k)), nil
+		return appendFlatForest([]byte{binTagTree}, m.flat), nil
 	default:
 		blob, err := MarshalClassifier(c)
 		if err != nil {
@@ -71,7 +71,7 @@ func UnmarshalClassifierBinary(data []byte) (Classifier, error) {
 		if len(ff.roots) != 1 {
 			return nil, fmt.Errorf("%w: tree blob holds %d trees", ErrBinaryCorrupt, len(ff.roots))
 		}
-		return &DecisionTree{k: ff.k, root: ff.toNode(ff.roots[0])}, nil
+		return &DecisionTree{k: ff.k, flat: ff}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown tag 0x%02x", ErrBinaryCorrupt, tag)
 	}
@@ -195,7 +195,8 @@ func parseFlatForest(data []byte) (*flatForest, error) {
 // child at i+1 and its right child exactly where its left subtree ends, and
 // leaf probability runs inside the arena. Together these make each tree a
 // tree: every node is reached exactly once, so no cycle or shared subtree
-// can make a walk over the pointer form loop or blow up exponentially.
+// can make a recursive walk, such as the JSON codec's rendering, loop or
+// blow up exponentially.
 func (ff *flatForest) validate() error {
 	if ff.k <= 0 || ff.k > maxBinCount {
 		return fmt.Errorf("%w: bad class count %d", ErrBinaryCorrupt, ff.k)
@@ -244,29 +245,4 @@ func (ff *flatForest) validate() error {
 		return fmt.Errorf("%w: %d nodes outside every tree", ErrBinaryCorrupt, n-next)
 	}
 	return nil
-}
-
-// toTrees reconstructs the pointer trees the flat form was compiled from,
-// which the JSON codec serializes.
-func (ff *flatForest) toTrees() []*DecisionTree {
-	trees := make([]*DecisionTree, len(ff.roots))
-	for i, root := range ff.roots {
-		trees[i] = &DecisionTree{k: ff.k, root: ff.toNode(root)}
-	}
-	return trees
-}
-
-func (ff *flatForest) toNode(i int32) *treeNode {
-	nd := ff.nodes[i]
-	if nd.attr == flatLeaf {
-		probs := make([]float64, ff.k)
-		copy(probs, ff.probs[nd.right:int(nd.right)+ff.k])
-		return &treeNode{leaf: true, probs: probs}
-	}
-	return &treeNode{
-		attr:      int(nd.attr),
-		threshold: nd.thr,
-		left:      ff.toNode(i + 1),
-		right:     ff.toNode(nd.right),
-	}
 }

@@ -45,8 +45,8 @@ func TestBinaryForestRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The reconstructed pointer trees must re-serialize to the exact JSON of
-	// the fitted forest: the flat form loses nothing.
+	// The binary-loaded forest must re-serialize to the exact JSON of the
+	// fitted forest: the binary form loses nothing.
 	wantJSON, err := MarshalClassifier(rf)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestFlatForestValidate(t *testing.T) {
 			nodes: []flatNode{{attr: 0, right: 0}, leaf(0)},
 			probs: []float64{1, 0}},
 		// Node 2 is both node 0's right child and node 1's left: a chain of
-		// such nodes expands exponentially when rebuilt as pointer trees.
+		// such nodes expands exponentially when rendered as JSON.
 		"shared subtree": {k: 2, roots: []int32{0},
 			nodes: []flatNode{{attr: 0, right: 2}, {attr: 0, right: 3}, leaf(0), leaf(0)},
 			probs: []float64{1, 0}},
@@ -227,7 +227,8 @@ func BenchmarkBestSplit(b *testing.B) {
 // normalizing pass).
 func FuzzClassifierDecode(f *testing.F) {
 	ff := fittedGoldenForest(f)
-	for _, c := range []Classifier{ff, &DecisionTree{k: 2, root: &treeNode{leaf: true, probs: []float64{0.5, 0.5}}}} {
+	leaf := &flatForest{k: 2, roots: []int32{0}, nodes: []flatNode{{attr: flatLeaf}}, probs: []float64{0.5, 0.5}}
+	for _, c := range []Classifier{ff, &DecisionTree{k: 2, flat: leaf}} {
 		blob, err := MarshalClassifierBinary(c)
 		if err != nil {
 			f.Fatal(err)

@@ -16,8 +16,8 @@ type AdaBoost struct {
 	MaxDepth int
 	Seed     uint64
 
-	stumps []*DecisionTree
-	alphas []float64
+	flat   *flatForest // the fitted or loaded stumps, one tree each; nil before
+	alphas []float64   // each stump's say, in tree order
 	k      int
 }
 
@@ -40,7 +40,7 @@ func (ab *AdaBoost) Fit(d *Dataset) error {
 		ab.MaxDepth = 2
 	}
 	ab.k = 2
-	ab.stumps = nil
+	ab.flat = &flatForest{k: 2}
 	ab.alphas = nil
 	rng := stats.NewRNG(ab.Seed + 0xb005)
 	n := d.N()
@@ -65,7 +65,7 @@ func (ab *AdaBoost) Fit(d *Dataset) error {
 		}
 		if errW <= 1e-12 {
 			// Perfect stump: give it a large, finite say and stop.
-			ab.stumps = append(ab.stumps, stump)
+			ab.flat.appendTrees(stump.flat)
 			ab.alphas = append(ab.alphas, 10)
 			break
 		}
@@ -75,7 +75,7 @@ func (ab *AdaBoost) Fit(d *Dataset) error {
 			continue
 		}
 		alpha := 0.5 * math.Log((1-errW)/errW)
-		ab.stumps = append(ab.stumps, stump)
+		ab.flat.appendTrees(stump.flat)
 		ab.alphas = append(ab.alphas, alpha)
 		// Reweight and normalize.
 		total := 0.0
@@ -91,13 +91,13 @@ func (ab *AdaBoost) Fit(d *Dataset) error {
 			w[i] /= total
 		}
 	}
-	if len(ab.stumps) == 0 {
+	if len(ab.alphas) == 0 {
 		// Degenerate data: fall back to a single stump.
 		stump := &DecisionTree{MaxDepth: ab.MaxDepth, MinLeafSize: 1}
 		if err := stump.Fit(d); err != nil {
 			return err
 		}
-		ab.stumps = append(ab.stumps, stump)
+		ab.flat.appendTrees(stump.flat)
 		ab.alphas = append(ab.alphas, 1)
 	}
 	return nil
@@ -114,8 +114,8 @@ func weightedBootstrap(d *Dataset, w []float64, rng *stats.RNG) *Dataset {
 // score returns the weighted margin for class 1.
 func (ab *AdaBoost) score(x []float64) float64 {
 	s := 0.0
-	for i, stump := range ab.stumps {
-		if stump.PredictClass(x) == 1 {
+	for i, root := range ab.flat.roots {
+		if argmax(ab.flat.leafProbs(root, x)) == 1 {
 			s += ab.alphas[i]
 		} else {
 			s -= ab.alphas[i]
@@ -139,4 +139,4 @@ func (ab *AdaBoost) PredictProba(x []float64) []float64 {
 }
 
 // Rounds used (may be fewer than configured when a perfect stump appears).
-func (ab *AdaBoost) FittedRounds() int { return len(ab.stumps) }
+func (ab *AdaBoost) FittedRounds() int { return len(ab.alphas) }

@@ -1,18 +1,15 @@
 package ml
 
-// Compiled forest inference. A fitted (or loaded) RandomForest flattens its
-// pointer trees into one contiguous node arena so prediction walks
-// cache-coherent memory instead of chasing heap pointers. The flat form is
-// the only copy a forest keeps: Fit compiles its pointer trees and drops
-// them, and JSON serialization rebuilds them from the arena (the two forms
-// are lossless images of each other), so a loaded model costs one arena.
-//
-// Prediction order is preserved exactly: trees accumulate into the output in
-// tree order and the final division is unchanged, so flat predictions are
-// bit-identical to the pointer walk they replace.
+// The fitted-tree form. Every tree model keeps its trees in one contiguous
+// node arena, so prediction walks cache-coherent memory instead of chasing
+// heap pointers: a DecisionTree is an arena holding one tree, a
+// RandomForest one holding all of its trees, and an AdaBoost one holding
+// its stumps beside their weights. Trees are grown straight into the arena
+// in preorder, both codecs read and write it, and every prediction
+// descends it through leafProbs.
 
-// flatNode is one compiled tree node, packed to 16 bytes so two nodes share
-// a cache line. Interior nodes carry the split (attr >= 0) and the index of
+// flatNode is one tree node, packed to 16 bytes so two nodes share a
+// cache line. Interior nodes carry the split (attr >= 0) and the index of
 // the right child; the left child is implicit at i+1 (preorder emission
 // places it immediately after its parent). Leaves set attr to flatLeaf and
 // reuse right as the offset of their class probabilities in the shared
@@ -25,9 +22,9 @@ type flatNode struct {
 
 const flatLeaf = int32(-1)
 
-// flatForest is the compiled form of an entire ensemble: every tree's nodes
-// live in one arena, with per-tree root offsets, and every leaf's class
-// probabilities live in one float64 arena (k values per leaf).
+// flatForest holds an entire ensemble: every tree's nodes live in one
+// arena, with per-tree root offsets, and every leaf's class probabilities
+// live in one float64 arena (k values per leaf).
 type flatForest struct {
 	k     int
 	roots []int32
@@ -35,28 +32,28 @@ type flatForest struct {
 	probs []float64
 }
 
-// compileForest flattens the pointer trees. Nodes are emitted preorder, so
-// each tree occupies one contiguous arena segment.
-func compileForest(trees []*DecisionTree, k int) *flatForest {
-	ff := &flatForest{k: k, roots: make([]int32, 0, len(trees))}
-	for _, tr := range trees {
-		ff.roots = append(ff.roots, ff.emit(tr.root))
+// appendTrees adds src's trees after ff's, rebasing their node and
+// probability offsets, so each tree keeps one contiguous preorder segment.
+func (ff *flatForest) appendTrees(src *flatForest) {
+	base, probBase := int32(len(ff.nodes)), int32(len(ff.probs))
+	for _, r := range src.roots {
+		ff.roots = append(ff.roots, r+base)
 	}
-	return ff
+	for _, n := range src.nodes {
+		if n.attr == flatLeaf {
+			n.right += probBase
+		} else {
+			n.right += base
+		}
+		ff.nodes = append(ff.nodes, n)
+	}
+	ff.probs = append(ff.probs, src.probs...)
 }
 
-func (ff *flatForest) emit(n *treeNode) int32 {
-	id := int32(len(ff.nodes))
-	if n.leaf {
-		off := int32(len(ff.probs))
-		ff.probs = append(ff.probs, n.probs...)
-		ff.nodes = append(ff.nodes, flatNode{attr: flatLeaf, right: off})
-		return id
-	}
-	ff.nodes = append(ff.nodes, flatNode{attr: int32(n.attr), thr: n.threshold})
-	ff.emit(n.left) // lands at id+1, the implicit left-child slot
-	ff.nodes[id].right = ff.emit(n.right)
-	return id
+// addLeaf appends a leaf whose class probabilities are probs.
+func (ff *flatForest) addLeaf(probs []float64) {
+	ff.nodes = append(ff.nodes, flatNode{attr: flatLeaf, right: int32(len(ff.probs))})
+	ff.probs = append(ff.probs, probs...)
 }
 
 // leafProbs returns the probability slice of the leaf reached by x in the
@@ -82,8 +79,7 @@ func (ff *flatForest) leafProbs(root int32, x []float64) []float64 {
 }
 
 // accumulateInto adds every tree's leaf probabilities for x into out, in
-// tree order, then divides by the ensemble size — the exact float operation
-// sequence of the original per-tree pointer walk.
+// tree order, then divides by the ensemble size.
 func (ff *flatForest) accumulateInto(x []float64, out []float64) {
 	for _, root := range ff.roots {
 		p := ff.leafProbs(root, x)

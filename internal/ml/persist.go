@@ -25,70 +25,69 @@ type nodeDTO struct {
 	Right     *nodeDTO  `json:"right,omitempty"`
 }
 
-func toDTO(n *treeNode) *nodeDTO {
-	if n == nil {
-		return nil
+// dto renders the subtree at node i.
+func (ff *flatForest) dto(i int32) *nodeDTO {
+	n := ff.nodes[i]
+	if n.attr == flatLeaf {
+		off := int(n.right)
+		return &nodeDTO{Leaf: true, Probs: ff.probs[off : off+ff.k]}
 	}
-	return &nodeDTO{
-		Leaf: n.leaf, Probs: n.probs,
-		Attr: n.attr, Threshold: n.threshold,
-		Left: toDTO(n.left), Right: toDTO(n.right),
-	}
+	return &nodeDTO{Attr: int(n.attr), Threshold: n.thr, Left: ff.dto(i + 1), Right: ff.dto(n.right)}
 }
 
-func fromDTO(d *nodeDTO) *treeNode {
-	if d == nil {
-		return nil
+// treeDTOs renders every tree in the arena.
+func (ff *flatForest) treeDTOs() []treeDTO {
+	trees := make([]treeDTO, len(ff.roots))
+	for i, root := range ff.roots {
+		trees[i] = treeDTO{K: ff.k, Root: ff.dto(root)}
 	}
-	return &treeNode{
-		leaf: d.Leaf, probs: d.Probs,
-		attr: d.Attr, threshold: d.Threshold,
-		left: fromDTO(d.Left), right: fromDTO(d.Right),
-	}
+	return trees
 }
 
-// treesFromDTOs rebuilds decoded tree payloads (a tree, a forest's trees,
-// or AdaBoost's stumps) and holds them to the binary codec's structural
-// checks: checkNode rules out what the flat form cannot represent, and
-// the compiled arena must pass flatForest.validate. A JSON model that
-// loads can then no more panic at prediction than a binary one.
-func treesFromDTOs(k int, dtos []treeDTO) ([]*DecisionTree, *flatForest, error) {
-	trees := make([]*DecisionTree, len(dtos))
+// forestFromDTOs builds the arena of decoded tree payloads (a tree, a
+// forest's trees, or AdaBoost's stumps) and holds it to the binary codec's
+// structural checks, so a JSON model that loads can no more panic at
+// prediction than a binary one.
+func forestFromDTOs(k int, dtos []treeDTO) (*flatForest, error) {
+	ff := &flatForest{k: k}
 	for i, td := range dtos {
 		if td.K != k {
-			return nil, nil, fmt.Errorf("%w: tree %d has %d classes, want %d", ErrBinaryCorrupt, i, td.K, k)
+			return nil, fmt.Errorf("%w: tree %d has %d classes, want %d", ErrBinaryCorrupt, i, td.K, k)
 		}
-		root := fromDTO(td.Root)
-		if err := checkNode(root, k); err != nil {
-			return nil, nil, fmt.Errorf("tree %d: %w", i, err)
+		ff.roots = append(ff.roots, int32(len(ff.nodes)))
+		if err := ff.appendDTO(td.Root); err != nil {
+			return nil, fmt.Errorf("tree %d: %w", i, err)
 		}
-		trees[i] = &DecisionTree{k: k, root: root}
 	}
-	ff := compileForest(trees, k)
 	if err := ff.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return trees, ff, nil
+	return ff, nil
 }
 
-// checkNode rejects a missing node, a leaf without exactly k class
-// probabilities, and a split attribute outside the flat form's int32 range.
-func checkNode(n *treeNode, k int) error {
+// appendDTO appends a decoded subtree in preorder. It refuses what the
+// arena cannot represent: a missing node, a leaf without exactly k class
+// probabilities, and a split attribute outside int32.
+func (ff *flatForest) appendDTO(d *nodeDTO) error {
 	switch {
-	case n == nil:
+	case d == nil:
 		return fmt.Errorf("%w: missing node", ErrBinaryCorrupt)
-	case n.leaf:
-		if len(n.probs) != k {
-			return fmt.Errorf("%w: leaf has %d probabilities, want %d", ErrBinaryCorrupt, len(n.probs), k)
+	case d.Leaf:
+		if len(d.Probs) != ff.k {
+			return fmt.Errorf("%w: leaf has %d probabilities, want %d", ErrBinaryCorrupt, len(d.Probs), ff.k)
 		}
+		ff.addLeaf(d.Probs)
 		return nil
-	case n.attr < 0 || n.attr > math.MaxInt32:
-		return fmt.Errorf("%w: bad split attribute %d", ErrBinaryCorrupt, n.attr)
+	case d.Attr < 0 || d.Attr > math.MaxInt32:
+		return fmt.Errorf("%w: bad split attribute %d", ErrBinaryCorrupt, d.Attr)
 	}
-	if err := checkNode(n.left, k); err != nil {
+	id := len(ff.nodes)
+	ff.nodes = append(ff.nodes, flatNode{attr: int32(d.Attr), thr: d.Threshold})
+	if err := ff.appendDTO(d.Left); err != nil {
 		return err
 	}
-	return checkNode(n.right, k)
+	ff.nodes[id].right = int32(len(ff.nodes))
+	return ff.appendDTO(d.Right)
 }
 
 type zeroRDTO struct {
@@ -156,30 +155,22 @@ func MarshalClassifier(c Classifier) ([]byte, error) {
 		payload = logisticDTO{K: m.K, W: m.W, Mean: m.scaler.Mean, Std: m.scaler.Std}
 	case *DecisionTree:
 		kind = "tree"
-		if m.root == nil {
+		if m.flat == nil {
 			return nil, fmt.Errorf("ml: marshal of unfitted DecisionTree")
 		}
-		payload = treeDTO{K: m.k, Root: toDTO(m.root)}
+		payload = treeDTO{K: m.k, Root: m.flat.dto(0)}
 	case *RandomForest:
 		kind = "forest"
 		if m.flat == nil {
 			return nil, fmt.Errorf("ml: marshal of unfitted RandomForest")
 		}
-		f := forestDTO{K: m.k}
-		for _, tr := range m.flat.toTrees() {
-			f.Trees = append(f.Trees, treeDTO{K: tr.k, Root: toDTO(tr.root)})
-		}
-		payload = f
+		payload = forestDTO{K: m.k, Trees: m.flat.treeDTOs()}
 	case *AdaBoost:
 		kind = "boost"
-		if len(m.stumps) == 0 {
+		if len(m.alphas) == 0 {
 			return nil, fmt.Errorf("ml: marshal of unfitted AdaBoost")
 		}
-		b := boostDTO{K: m.k, Alphas: m.alphas}
-		for _, s := range m.stumps {
-			b.Stumps = append(b.Stumps, treeDTO{K: s.k, Root: toDTO(s.root)})
-		}
-		payload = b
+		payload = boostDTO{K: m.k, Alphas: m.alphas, Stumps: m.flat.treeDTOs()}
 	case *KNN:
 		kind = "knn"
 		if m.data == nil {
@@ -252,17 +243,17 @@ func UnmarshalClassifier(data []byte) (Classifier, error) {
 		if err := json.Unmarshal(env.Payload, &d); err != nil {
 			return nil, err
 		}
-		trees, _, err := treesFromDTOs(d.K, []treeDTO{d})
+		ff, err := forestFromDTOs(d.K, []treeDTO{d})
 		if err != nil {
 			return nil, err
 		}
-		return trees[0], nil
+		return &DecisionTree{k: d.K, flat: ff}, nil
 	case "forest":
 		var d forestDTO
 		if err := json.Unmarshal(env.Payload, &d); err != nil {
 			return nil, err
 		}
-		_, ff, err := treesFromDTOs(d.K, d.Trees)
+		ff, err := forestFromDTOs(d.K, d.Trees)
 		if err != nil {
 			return nil, err
 		}
@@ -275,11 +266,11 @@ func UnmarshalClassifier(data []byte) (Classifier, error) {
 		if len(d.Alphas) != len(d.Stumps) {
 			return nil, fmt.Errorf("%w: %d alphas for %d stumps", ErrBinaryCorrupt, len(d.Alphas), len(d.Stumps))
 		}
-		stumps, _, err := treesFromDTOs(d.K, d.Stumps)
+		ff, err := forestFromDTOs(d.K, d.Stumps)
 		if err != nil {
 			return nil, err
 		}
-		return &AdaBoost{k: d.K, Rounds: len(stumps), alphas: d.Alphas, stumps: stumps}, nil
+		return &AdaBoost{k: d.K, Rounds: len(d.Stumps), alphas: d.Alphas, flat: ff}, nil
 	case "knn":
 		var d knnDTO
 		if err := json.Unmarshal(env.Payload, &d); err != nil {

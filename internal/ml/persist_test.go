@@ -166,7 +166,8 @@ func TestCheckShape(t *testing.T) {
 	if err := CheckShape(&ZeroR{K: 2}, 2, 0); err != nil {
 		t.Errorf("ZeroR with no columns: %v", err)
 	}
-	tree := &DecisionTree{k: 2, root: &treeNode{attr: 4, left: &treeNode{leaf: true}, right: &treeNode{leaf: true}}}
+	tree := &DecisionTree{k: 2, flat: &flatForest{k: 2, roots: []int32{0},
+		nodes: []flatNode{{attr: 4, right: 2}, {attr: flatLeaf}, {attr: flatLeaf}}, probs: []float64{1, 0}}}
 	if err := CheckShape(tree, 2, 4); err == nil {
 		t.Error("tree splitting on column 4 of 4 accepted")
 	}

@@ -19,7 +19,7 @@ type DecisionTree struct {
 	// Rng drives feature subsampling; required when FeatureSubset > 0.
 	Rng *stats.RNG
 
-	root *treeNode
+	flat *flatForest // the fitted or loaded tree, rooted at node 0; nil before
 	k    int
 
 	// Per-tree scratch reused across splits while fitting; each tree fits on
@@ -28,17 +28,6 @@ type DecisionTree struct {
 	lCounts   []int
 	rCounts   []int
 	attrsBuf  []int
-}
-
-type treeNode struct {
-	// Leaf fields.
-	leaf  bool
-	probs []float64
-	// Split fields.
-	attr      int
-	threshold float64
-	left      *treeNode // x[attr] <= threshold
-	right     *treeNode
 }
 
 // Name implements Classifier.
@@ -67,11 +56,13 @@ func (t *DecisionTree) Fit(d *Dataset) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = t.grow(d, idx, 0)
+	t.flat = &flatForest{k: t.k, roots: []int32{0}}
+	t.grow(d, idx, 0)
 	return nil
 }
 
-func (t *DecisionTree) leafNode(d *Dataset, idx []int) *treeNode {
+// leaf appends a leaf holding the class frequencies of idx.
+func (t *DecisionTree) leaf(d *Dataset, idx []int) {
 	probs := make([]float64, t.k)
 	for _, i := range idx {
 		probs[int(d.Y[i])]++
@@ -79,16 +70,20 @@ func (t *DecisionTree) leafNode(d *Dataset, idx []int) *treeNode {
 	for c := range probs {
 		probs[c] /= float64(len(idx))
 	}
-	return &treeNode{leaf: true, probs: probs}
+	t.flat.addLeaf(probs)
 }
 
-func (t *DecisionTree) grow(d *Dataset, idx []int, depth int) *treeNode {
+// grow appends the subtree fitted to idx in preorder: the split node, its
+// left subtree at the next index, then its right subtree.
+func (t *DecisionTree) grow(d *Dataset, idx []int, depth int) {
 	if len(idx) <= t.MinLeafSize || depth >= t.MaxDepth || pure(d, idx) {
-		return t.leafNode(d, idx)
+		t.leaf(d, idx)
+		return
 	}
 	attr, thr, gain := t.bestSplit(d, idx)
 	if gain <= 1e-12 {
-		return t.leafNode(d, idx)
+		t.leaf(d, idx)
+		return
 	}
 	var left, right []int
 	for _, i := range idx {
@@ -99,14 +94,14 @@ func (t *DecisionTree) grow(d *Dataset, idx []int, depth int) *treeNode {
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		return t.leafNode(d, idx)
+		t.leaf(d, idx)
+		return
 	}
-	return &treeNode{
-		attr:      attr,
-		threshold: thr,
-		left:      t.grow(d, left, depth+1),
-		right:     t.grow(d, right, depth+1),
-	}
+	id := len(t.flat.nodes)
+	t.flat.nodes = append(t.flat.nodes, flatNode{attr: int32(attr), thr: thr})
+	t.grow(d, left, depth+1)
+	t.flat.nodes[id].right = int32(len(t.flat.nodes))
+	t.grow(d, right, depth+1)
 }
 
 func pure(d *Dataset, idx []int) bool {
@@ -211,17 +206,9 @@ func giniCounts(counts []int, n int) float64 {
 	return g
 }
 
-// PredictProba walks the tree.
+// PredictProba returns the class probabilities of the leaf x reaches.
 func (t *DecisionTree) PredictProba(x []float64) []float64 {
-	n := t.root
-	for !n.leaf {
-		if x[n.attr] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.probs
+	return t.flat.leafProbs(0, x)
 }
 
 // PredictClass returns the leaf majority.
@@ -231,14 +218,17 @@ func (t *DecisionTree) PredictClass(x []float64) int {
 
 // Depth returns the tree height (leaves have depth 1).
 func (t *DecisionTree) Depth() int {
-	var h func(n *treeNode) int
-	h = func(n *treeNode) int {
-		if n == nil || n.leaf {
-			return 1
+	var h func(i int32) (int, int32) // height of the subtree at i, and the index after it
+	h = func(i int32) (int, int32) {
+		if t.flat.nodes[i].attr == flatLeaf {
+			return 1, i + 1
 		}
-		return 1 + int(math.Max(float64(h(n.left)), float64(h(n.right))))
+		l, next := h(i + 1)
+		r, end := h(next)
+		return 1 + max(l, r), end
 	}
-	return h(t.root)
+	d, _ := h(0)
+	return d
 }
 
 // SplitWidth is the number of leading feature columns a tree classifier's
@@ -246,28 +236,19 @@ func (t *DecisionTree) Depth() int {
 // reports 0. Predicting on a narrower row would index past its end, so
 // model loaders refuse a classifier wider than the rows it will score.
 func SplitWidth(c Classifier) int {
-	w := 0
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n == nil || n.leaf {
-			return
-		}
-		w = max(w, n.attr+1)
-		walk(n.left)
-		walk(n.right)
-	}
+	var ff *flatForest
 	switch m := c.(type) {
 	case *DecisionTree:
-		walk(m.root)
+		ff = m.flat
 	case *AdaBoost:
-		for _, s := range m.stumps {
-			walk(s.root)
-		}
+		ff = m.flat
 	case *RandomForest:
-		if m.flat != nil {
-			for _, n := range m.flat.nodes {
-				w = max(w, int(n.attr)+1) // a leaf's attr is flatLeaf (-1)
-			}
+		ff = m.flat
+	}
+	w := 0
+	if ff != nil {
+		for _, n := range ff.nodes {
+			w = max(w, int(n.attr)+1) // a leaf's attr is flatLeaf (-1)
 		}
 	}
 	return w
@@ -286,7 +267,7 @@ type RandomForest struct {
 	Jobs int
 
 	k    int
-	flat *flatForest // the fitted or loaded ensemble, compiled; nil before
+	flat *flatForest // the fitted or loaded ensemble; nil before
 }
 
 // Name implements Classifier.
@@ -326,11 +307,14 @@ func (rf *RandomForest) Fit(d *Dataset) error {
 	}); err != nil {
 		return err
 	}
-	rf.flat = compileForest(trees, rf.k)
+	rf.flat = &flatForest{k: rf.k}
+	for _, tr := range trees {
+		rf.flat.appendTrees(tr.flat)
+	}
 	return nil
 }
 
-// PredictProba averages tree probabilities over the compiled forest.
+// PredictProba averages tree probabilities over the forest.
 func (rf *RandomForest) PredictProba(x []float64) []float64 {
 	out := make([]float64, rf.k)
 	if rf.flat == nil {

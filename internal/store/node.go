@@ -173,14 +173,6 @@ func (n *node) insertLeafCell(i int, key, val []byte, ovf uint64, vlen uint32) {
 	n.vlen[i] = vlen
 }
 
-// removeLeafCell deletes cell i from a leaf.
-func (n *node) removeLeafCell(i int) {
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.vals = append(n.vals[:i], n.vals[i+1:]...)
-	n.ovf = append(n.ovf[:i], n.ovf[i+1:]...)
-	n.vlen = append(n.vlen[:i], n.vlen[i+1:]...)
-}
-
 // insertBranchCell splices a (separator, child) pair into a branch at i.
 func (n *node) insertBranchCell(i int, key []byte, child uint64) {
 	n.keys = append(n.keys, nil)
@@ -189,12 +181,6 @@ func (n *node) insertBranchCell(i int, key []byte, child uint64) {
 	n.children = append(n.children, 0)
 	copy(n.children[i+1:], n.children[i:])
 	n.children[i] = child
-}
-
-// removeBranchCell deletes pair i from a branch.
-func (n *node) removeBranchCell(i int) {
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.children = append(n.children[:i], n.children[i+1:]...)
 }
 
 // split carves the node's tail cells into a fresh right sibling so both

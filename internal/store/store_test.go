@@ -71,20 +71,6 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	if v, ok := mustGet(t, db, "beta"); !ok || v != "2" {
 		t.Fatalf("beta = %q, %v", v, ok)
 	}
-	var found bool
-	if err := db.Update(func(tx *Tx) error {
-		var err error
-		found, err = tx.Delete([]byte("alpha"))
-		return err
-	}); err != nil || !found {
-		t.Fatalf("delete: %v found=%v", err, found)
-	}
-	if _, ok := mustGet(t, db, "alpha"); ok {
-		t.Fatal("deleted key still readable")
-	}
-	if v, ok := mustGet(t, db, "beta"); !ok || v != "2" {
-		t.Fatalf("beta after delete = %q, %v", v, ok)
-	}
 }
 
 func TestKeyValidation(t *testing.T) {
@@ -139,11 +125,11 @@ func TestTxReadsOwnWrites(t *testing.T) {
 		if err != nil || !ok || string(v) != "c" {
 			return fmt.Errorf("committed key invisible in tx: %q %v %v", v, ok, err)
 		}
-		if _, err := tx.Delete([]byte("committed")); err != nil {
+		if err := tx.Put([]byte("committed"), []byte("o")); err != nil {
 			return err
 		}
-		if _, ok, _ := tx.Get([]byte("committed")); ok {
-			return fmt.Errorf("own delete invisible")
+		if v, ok, err := tx.Get([]byte("committed")); err != nil || !ok || string(v) != "o" {
+			return fmt.Errorf("own overwrite invisible: %q %v %v", v, ok, err)
 		}
 		return nil
 	})
@@ -268,44 +254,6 @@ func TestManyKeysSplitAndScanOrder(t *testing.T) {
 	}
 }
 
-func TestDeleteEverythingCollapsesTree(t *testing.T) {
-	db, _ := openTemp(t, Options{})
-	defer db.Close()
-	const n = 1200
-	for i := 0; i < n; i++ {
-		mustPut(t, db, fmt.Sprintf("k%05d", i), "v")
-	}
-	for i := 0; i < n; i++ {
-		err := db.Update(func(tx *Tx) error {
-			found, err := tx.Delete([]byte(fmt.Sprintf("k%05d", i)))
-			if err == nil && !found {
-				return fmt.Errorf("k%05d not found at delete", i)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.View(func(s *Snapshot) error {
-		return s.Scan(nil, nil, func(k, v []byte) (bool, error) {
-			return false, fmt.Errorf("key %q survived total deletion", k)
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The emptied tree's pages are reclaimable: a fresh round of inserts
-	// must not balloon the file.
-	before := db.Stats().PageCount
-	for i := 0; i < n; i++ {
-		mustPut(t, db, fmt.Sprintf("k%05d", i), "v")
-	}
-	after := db.Stats().PageCount
-	if after > before+before/2 {
-		t.Fatalf("reinsert grew page file %d -> %d; freelist not reusing", before, after)
-	}
-}
-
 func TestFreelistBoundsFileGrowth(t *testing.T) {
 	db, _ := openTemp(t, Options{CheckpointWALBytes: 256 << 10})
 	defer db.Close()
@@ -358,8 +306,7 @@ func TestSnapshotParityUnderConcurrentWriter(t *testing.T) {
 				if err := tx.Put([]byte(fmt.Sprintf("seed-%03d", c%50)), []byte(fmt.Sprintf("rewritten-%d", c))); err != nil {
 					return err
 				}
-				_, err := tx.Delete([]byte(fmt.Sprintf("new-%03d", c-30)))
-				return err
+				return tx.Put([]byte(fmt.Sprintf("new-%03d", c/2)), []byte("o"))
 			})
 			if err != nil {
 				t.Errorf("writer commit %d: %v", c, err)

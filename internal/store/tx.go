@@ -57,30 +57,21 @@ func (tx *Tx) alloc() uint64 {
 	return id
 }
 
-// freePage retires a page id. Tx-local pages (never committed) are
-// recycled immediately; committed pages wait out active snapshots.
-func (tx *Tx) freePage(pgid uint64) {
-	if _, ok := tx.nodes[pgid]; ok {
-		delete(tx.nodes, pgid)
-		tx.recycled = append(tx.recycled, pgid)
-		return
-	}
-	if _, ok := tx.raw[pgid]; ok {
-		delete(tx.raw, pgid)
-		tx.recycled = append(tx.recycled, pgid)
-		return
-	}
-	tx.freed = append(tx.freed, pgid)
-}
-
-// freeChain retires the whole overflow chain of leaf cell i.
+// freeChain retires the whole overflow chain of leaf cell i. Pages this
+// tx wrote (never committed) are recycled immediately; committed pages wait
+// out active snapshots.
 func (tx *Tx) freeChain(n *node, i int) error {
 	ids, err := overflowChain(n.ovf[i], int(n.vlen[i]), tx.readRaw)
 	if err != nil {
 		return err
 	}
 	for _, id := range ids {
-		tx.freePage(id)
+		if _, ok := tx.raw[id]; ok {
+			delete(tx.raw, id)
+			tx.recycled = append(tx.recycled, id)
+		} else {
+			tx.freed = append(tx.freed, id)
+		}
 	}
 	return nil
 }
@@ -223,98 +214,6 @@ func (tx *Tx) insert(pgid uint64, key, val []byte, ovf uint64, vlen uint32) (uin
 		return id, n.keys[0], &splitResult{pgid: rid, key: right.keys[0]}, nil
 	}
 	return id, n.keys[0], nil, nil
-}
-
-// Delete removes key, reporting whether it was present. Empty pages are
-// dropped and a single-child root is collapsed; there is no rebalancing —
-// sparse pages persist until neighboring churn merges them away, a
-// deliberate simplicity trade documented in DESIGN.md.
-func (tx *Tx) Delete(key []byte) (bool, error) {
-	if tx.done {
-		return false, ErrTxDone
-	}
-	if err := validateKey(key); err != nil {
-		return false, err
-	}
-	if tx.root == 0 {
-		return false, nil
-	}
-	newRoot, _, found, empty, err := tx.remove(tx.root, key)
-	if err != nil || !found {
-		return false, err
-	}
-	if empty {
-		tx.root = 0
-		return true, nil
-	}
-	tx.root = newRoot
-	for {
-		n, err := tx.readNode(tx.root)
-		if err != nil {
-			return false, err
-		}
-		if n.leaf || len(n.children) != 1 {
-			break
-		}
-		old := tx.root
-		tx.root = n.children[0]
-		tx.freePage(old)
-	}
-	return true, nil
-}
-
-// remove is the delete recursion: (new pgid, new smallest key, key found,
-// subtree now empty, error). Nothing is copy-on-written unless the key is
-// actually present in the subtree.
-func (tx *Tx) remove(pgid uint64, key []byte) (uint64, []byte, bool, bool, error) {
-	n0, err := tx.readNode(pgid)
-	if err != nil {
-		return 0, nil, false, false, err
-	}
-	if n0.leaf {
-		i, found := n0.search(key)
-		if !found {
-			return pgid, nil, false, false, nil
-		}
-		id, n, err := tx.touch(pgid)
-		if err != nil {
-			return 0, nil, false, false, err
-		}
-		if n.ovf[i] != 0 {
-			if err := tx.freeChain(n, i); err != nil {
-				return 0, nil, false, false, err
-			}
-		}
-		n.removeLeafCell(i)
-		if len(n.keys) == 0 {
-			tx.freePage(id)
-			return 0, nil, true, true, nil
-		}
-		return id, n.keys[0], true, false, nil
-	}
-	if len(n0.children) == 0 {
-		return 0, nil, false, false, fmt.Errorf("%w: empty branch page %d", ErrCorrupt, pgid)
-	}
-	ci := n0.childIndex(key)
-	childID, childFirst, found, empty, err := tx.remove(n0.children[ci], key)
-	if err != nil || !found {
-		return pgid, nil, found, false, err
-	}
-	id, n, err := tx.touch(pgid)
-	if err != nil {
-		return 0, nil, false, false, err
-	}
-	if empty {
-		n.removeBranchCell(ci)
-		if len(n.keys) == 0 {
-			tx.freePage(id)
-			return 0, nil, true, true, nil
-		}
-	} else {
-		n.children[ci] = childID
-		n.keys[ci] = childFirst
-	}
-	return id, n.keys[0], true, false, nil
 }
 
 // Commit logs the transaction (one WAL record with every new page image),
