@@ -64,7 +64,8 @@ type Router struct {
 	stopOnce sync.Once
 }
 
-// New validates the backend list and starts one health loop per backend.
+// New validates the backend list, refusing an empty or repeated address,
+// and starts one health loop per backend.
 // Backends start healthy: the fleet booting in any order must not bounce
 // early requests off a router that has not probed yet.
 func New(cfg Config) (*Router, error) {
@@ -78,11 +79,18 @@ func New(cfg Config) (*Router, error) {
 		cfg.MaxBodyBytes = 32 << 20
 	}
 	addrs := make([]string, len(cfg.Backends))
+	seen := make(map[string]int, len(cfg.Backends))
 	for i, a := range cfg.Backends {
 		addrs[i] = strings.TrimRight(a, "/")
 		if addrs[i] == "" {
 			return nil, fmt.Errorf("router: backend %d is empty", i)
 		}
+		// One daemon listed twice would get two health loops and every
+		// reload twice, and /metrics would write its series twice.
+		if j, dup := seen[addrs[i]]; dup {
+			return nil, fmt.Errorf("router: backends %d and %d are both %s", j, i, addrs[i])
+		}
+		seen[addrs[i]] = i
 	}
 	rt := &Router{
 		cfg:   cfg,

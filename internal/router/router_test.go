@@ -358,6 +358,22 @@ func TestProxyRequestValidation(t *testing.T) {
 	}
 }
 
+// TestNewRefusesDuplicateBackend: a backend list naming one daemon twice,
+// here once with a trailing slash, is refused with both positions named.
+// Accepted, it ran two health loops against the daemon, posted each reload
+// to it twice, and wrote each of its /metrics series twice, which a
+// Prometheus scrape rejects as duplicate samples.
+func TestNewRefusesDuplicateBackend(t *testing.T) {
+	rt, err := New(Config{Backends: []string{"http://a", "http://b", "http://a/"}})
+	if err == nil {
+		rt.Close()
+		t.Fatal("duplicate backend accepted")
+	}
+	if !strings.Contains(err.Error(), "backends 0 and 2") {
+		t.Errorf("err = %v, want it to name backends 0 and 2", err)
+	}
+}
+
 // TestReloadBroadcasts: reload hits every healthy backend, not just the
 // key's shard.
 func TestReloadBroadcasts(t *testing.T) {

@@ -6,8 +6,9 @@
 # and short native-fuzz smokes over the MiniC parser (the panic source
 # the containment layer most needs to hold against), the query parser,
 # the daemon's wire-to-tree admission, the classifier decoder, the
-# whole model loader in both formats, the store's page decoder and
-# overflow-chain reader, and the client's NDJSON stream reader. The servebench module, which the root
+# whole model loader in both formats, the store's page decoder,
+# overflow-chain reader and Open over fuzzed meta slots and log, and the
+# client's NDJSON stream reader. The servebench module, which the root
 # module's build never reaches, is vetted and tested on its own. Ends with
 # the live secmetricd drills that need real processes: SIGTERM must drain
 # requests in flight cleanly, and a 3-backend fleet behind the
@@ -63,6 +64,12 @@ go test -run Fuzz -fuzz FuzzDecodeNode -fuzztime 10s ./internal/store
 # default 60 s, so cap it at 5 runs as for FuzzLoadModel.
 echo "== fuzz smoke (FuzzReadOverflow, 10s) =="
 go test -run Fuzz -fuzz FuzzReadOverflow -fuzztime 10s -fuzzminimizetime 5x ./internal/store
+
+# FuzzOpen lays fuzzed meta slots and a fuzzed log over a small committed
+# store, re-sealing their CRCs. Its seed log holds multi-page records, so
+# it caps minimization at 5 runs as well.
+echo "== fuzz smoke (FuzzOpen, 10s) =="
+go test -run Fuzz -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 5x ./internal/store
 
 echo "== fuzz smoke (FuzzReadStream, 10s) =="
 go test -run Fuzz -fuzz FuzzReadStream -fuzztime 10s ./pkg/client
