@@ -221,3 +221,12 @@ func TestWidenDirections(t *testing.T) {
 		t.Fatalf("stable widen = %v", got["x"])
 	}
 }
+
+// TestReturnRangeTempDoesNotAliasLocal: a local named t0 keeps its own
+// range while y's initializer defines the function's first temporary.
+func TestReturnRangeTempDoesNotAliasLocal(t *testing.T) {
+	_, res := analyze(t, "int f(int x){int t0=5; int y=x*2+1; return t0;}")
+	if res.ReturnRange != symexec.Single(5) {
+		t.Fatalf("return range = %v, want [5,5]", res.ReturnRange)
+	}
+}

@@ -259,7 +259,8 @@ type fileEnrichment struct {
 //
 // v2: interprocedural taint engine + CWE-mapped findings counts.
 // v3: the per-file lint-warning count.
-const AnalysisVersion = "enrich-v3"
+// v4: IR temporaries are spelled $<N>, apart from every MiniC name.
+const AnalysisVersion = "enrich-v4"
 
 // ExtractConfig tunes the testbed's extraction pipeline.
 type ExtractConfig struct {

@@ -261,3 +261,10 @@ func TestCountInterprocSinks(t *testing.T) {
 		t.Fatalf("CountInterprocSinks = (%d, %d), want (>=1, 4)", count, maxChain)
 	}
 }
+
+func TestInterprocTempDoesNotAliasLocal(t *testing.T) {
+	res := interproc(t, tempAliasSrc)
+	if len(res.Findings) != 1 || res.Findings[0].Sink != "system" {
+		t.Fatalf("findings = %+v, want the one system sink", res.Findings)
+	}
+}

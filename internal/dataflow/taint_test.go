@@ -202,3 +202,21 @@ int c(int z) { strcpy(z, 0); return 0; }
 		t.Fatalf("CountTaintedSinks = %d, want 2", got)
 	}
 }
+
+// tempAliasSrc taints a local named t1, then lowers a clean expression
+// that defines the function's second temporary: the local must stay
+// tainted at the sink.
+const tempAliasSrc = `
+int handle(void) {
+	int t1 = recv(0);
+	int z = 2 * 3 + 1;
+	system(t1);
+	return z;
+}`
+
+func TestTaintTempDoesNotAliasLocal(t *testing.T) {
+	res := taint(t, tempAliasSrc)
+	if len(res.Findings) != 1 || res.Findings[0].Sink != "system" {
+		t.Fatalf("findings = %+v, want the one system sink", res.Findings)
+	}
+}

@@ -231,3 +231,12 @@ func TestProfileStraightLine(t *testing.T) {
 		t.Fatalf("profile = %+v", p)
 	}
 }
+
+// TestRunTempDoesNotAliasLocal: a local named t0 keeps its own storage
+// while y's initializer defines the function's first temporary.
+func TestRunTempDoesNotAliasLocal(t *testing.T) {
+	tr := run(t, "int f(int x){int t0=5; int y=x*2+1; return t0;}", "f", 10)
+	if !tr.Returned || tr.ReturnValue != 5 {
+		t.Fatalf("f(10) = %d, want 5 (trace %+v)", tr.ReturnValue, tr)
+	}
+}

@@ -22,12 +22,12 @@ func TestInstructionSurfaces(t *testing.T) {
 		wantStr  string
 		line     int
 	}{
-		{&Assign{Dst: dst, Src: c, Line: 4}, dst, 1, "t1 = 3", 4},
-		{&BinOp{Dst: dst, Op: "+", L: v, R: c, Line: 5}, dst, 2, "t1 = x + 3", 5},
-		{&UnOp{Dst: dst, Op: "-", X: v, Line: 6}, dst, 1, "t1 = -x", 6},
-		{&Call{Dst: dst, Name: "f", Args: []Value{v, c}, Line: 7}, dst, 2, "t1 = call f(x, 3)", 7},
+		{&Assign{Dst: dst, Src: c, Line: 4}, dst, 1, "$1 = 3", 4},
+		{&BinOp{Dst: dst, Op: "+", L: v, R: c, Line: 5}, dst, 2, "$1 = x + 3", 5},
+		{&UnOp{Dst: dst, Op: "-", X: v, Line: 6}, dst, 1, "$1 = -x", 6},
+		{&Call{Dst: dst, Name: "f", Args: []Value{v, c}, Line: 7}, dst, 2, "$1 = call f(x, 3)", 7},
 		{&Call{Dst: nil, Name: "g", Line: 8}, nil, 0, "call g()", 8},
-		{&ArrayLoad{Dst: dst, Array: "a", Index: c, Line: 9}, dst, 1, "t1 = a[3]", 9},
+		{&ArrayLoad{Dst: dst, Array: "a", Index: c, Line: 9}, dst, 1, "$1 = a[3]", 9},
 		{&ArrayStore{Array: "a", Index: c, Src: v, Line: 10}, nil, 2, "a[3] = x", 10},
 	}
 	for _, tc := range cases {

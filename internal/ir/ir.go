@@ -24,7 +24,10 @@ type Const struct{ V int64 }
 // ArrayLoad/ArrayStore).
 type Var struct{ Name string }
 
-// Temp is a compiler temporary, defined exactly once.
+// Temp is a compiler temporary, defined exactly once. Its spelling, '$'
+// and the ID, is also its storage key in every analysis that keys values by
+// name, so it must not collide with a Var: no MiniC identifier and no
+// lowering rename ("name.N") can contain '$'.
 type Temp struct{ ID int }
 
 func (Const) isValue() {}
@@ -34,7 +37,7 @@ func (Temp) isValue()  {}
 // String implementations.
 func (c Const) String() string { return fmt.Sprintf("%d", c.V) }
 func (v Var) String() string   { return v.Name }
-func (t Temp) String() string  { return fmt.Sprintf("t%d", t.ID) }
+func (t Temp) String() string  { return fmt.Sprintf("$%d", t.ID) }
 
 // Dest is a value that can be written: a Var or a Temp.
 type Dest interface {

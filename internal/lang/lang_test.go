@@ -115,3 +115,33 @@ func TestDecisionKeywords(t *testing.T) {
 		t.Error("C++ catch missing")
 	}
 }
+
+// TestMarkersStartWithPunctuation pins what the lexer's and line
+// counter's first-byte dispatch rely on: every comment marker is non-empty,
+// and no marker, quote or preprocessor byte could start an identifier or a
+// number (a letter, digit, '_', '.', whitespace or a byte above 0x7f).
+func TestMarkersStartWithPunctuation(t *testing.T) {
+	punct := func(c byte) bool {
+		return c > ' ' && c < 0x7f && c != '_' && c != '.' &&
+			!(c >= '0' && c <= '9') && !(c >= 'a' && c <= 'z') && !(c >= 'A' && c <= 'Z')
+	}
+	for _, l := range append([]Language{Unknown}, All()...) {
+		syn := SyntaxOf(l)
+		for _, m := range syn.LineComment {
+			if m == "" || !punct(m[0]) {
+				t.Errorf("%v: line-comment marker %q does not start with punctuation", l, m)
+			}
+		}
+		if m := syn.BlockStart; m != "" && !punct(m[0]) {
+			t.Errorf("%v: block-comment marker %q does not start with punctuation", l, m)
+		}
+		for _, q := range syn.StringQuotes {
+			if !punct(q) {
+				t.Errorf("%v: quote %q is not punctuation", l, q)
+			}
+		}
+		if p := syn.Preprocessor; p != 0 && !punct(p) {
+			t.Errorf("%v: preprocessor byte %q is not punctuation", l, p)
+		}
+	}
+}

@@ -183,38 +183,69 @@ func CodeInto(dst, toks []Token) []Token {
 	return dst
 }
 
-func (lx *Lexer) peekAt(off int) byte {
-	if lx.pos+off >= len(lx.src) {
-		return 0
-	}
-	return lx.src[lx.pos+off]
-}
-
-func (lx *Lexer) startsWith(s string) bool {
-	return strings.HasPrefix(lx.src[lx.pos:], s)
-}
-
 // tok builds a token spanning [start, lx.pos) on startLine.
 func (lx *Lexer) tok(k Kind, start int, startLine int32) Token {
 	return Token{src: lx.src, Kind: k, Start: int32(start), End: int32(lx.pos), Line: startLine}
 }
 
 // Next returns the next token, or an EOF token at the end of input.
+//
+// Next dispatches on the token's first byte. Identifiers, the commonest
+// token, are scanned before any marker test; a comment, block-comment or
+// triple-quote marker is compared only when the byte equals the marker's
+// first byte; and multi-character operators come from opsByLead, which keeps
+// multiOps' order within each leading byte. The rules and their precedence
+// are otherwise those of the sequential reference scanner kept in
+// reference_test.go, so every token's Kind, Start, End and Line match it on
+// any input: no lang.Syntax marker, quote or preprocessor byte starts an
+// identifier or a number, and lang's tests pin that.
 func (lx *Lexer) Next() Token {
+	src, pos := lx.src, lx.pos
 	// Skip horizontal whitespace (newlines are tokens).
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == ' ' || c == '\t' || c == '\r' {
-			lx.pos++
-			continue
+	for pos < len(src) && (src[pos] == ' ' || src[pos] == '\t' || src[pos] == '\r') {
+		pos++
+	}
+	lx.pos = pos
+	if pos >= len(src) {
+		return Token{src: src, Start: int32(pos), End: int32(pos), Kind: EOF, Line: lx.line}
+	}
+	start, startLine := pos, lx.line
+	c := src[pos]
+	syn := &lx.syntax
+
+	// Identifiers and keywords.
+	if byteClass[c]&identStart != 0 {
+		pos++
+		for pos < len(src) && byteClass[src[pos]]&identPart != 0 {
+			pos++
 		}
-		break
+		lx.pos = pos
+		kind := Ident
+		if syn.Keywords[src[start:pos]] {
+			kind = Keyword
+		}
+		return lx.tok(kind, start, startLine)
 	}
-	if lx.pos >= len(lx.src) {
-		return Token{src: lx.src, Start: int32(lx.pos), End: int32(lx.pos), Kind: EOF, Line: lx.line}
+
+	// Numbers: ints, floats, hex, exponents, suffixes.
+	if byteClass[c]&digit != 0 || (c == '.' && pos+1 < len(src) && byteClass[src[pos+1]]&digit != 0) {
+		pos++
+		for pos < len(src) {
+			ch := src[pos]
+			if byteClass[ch]&identPart != 0 || ch == '.' {
+				pos++
+				continue
+			}
+			// Exponent sign: 1e-5
+			if (ch == '+' || ch == '-') && (src[pos-1] == 'e' || src[pos-1] == 'E') {
+				pos++
+				continue
+			}
+			break
+		}
+		lx.pos = pos
+		return lx.tok(Number, start, startLine)
 	}
-	start, startLine := lx.pos, lx.line
-	c := lx.src[lx.pos]
 
 	if c == '\n' {
 		lx.pos++
@@ -223,123 +254,71 @@ func (lx *Lexer) Next() Token {
 	}
 
 	// Preprocessor lines (C/C++): '#' at the start of a (logical) line.
-	if lx.syntax.Preprocessor != 0 && c == lx.syntax.Preprocessor && lx.atLineStart(start) {
-		for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
+	if syn.Preprocessor != 0 && c == syn.Preprocessor && lx.atLineStart(start) {
+		for pos < len(src) && src[pos] != '\n' {
 			// Handle line continuation.
-			if lx.src[lx.pos] == '\\' && lx.peekAt(1) == '\n' {
-				lx.pos += 2
+			if src[pos] == '\\' && pos+1 < len(src) && src[pos+1] == '\n' {
+				pos += 2
 				lx.line++
 				continue
 			}
-			lx.pos++
+			pos++
 		}
+		lx.pos = pos
 		return lx.tok(Preproc, start, startLine)
 	}
 
 	// Line comments.
-	for _, lc := range lx.syntax.LineComment {
-		if lx.startsWith(lc) {
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.pos++
+	for _, lc := range syn.LineComment {
+		if c == lc[0] && strings.HasPrefix(src[pos:], lc) {
+			lx.pos = len(src)
+			if i := strings.IndexByte(src[pos:], '\n'); i >= 0 {
+				lx.pos = pos + i
 			}
 			return lx.tok(Comment, start, startLine)
 		}
 	}
 
 	// Block comments.
-	if lx.syntax.BlockStart != "" && lx.startsWith(lx.syntax.BlockStart) {
-		lx.pos += len(lx.syntax.BlockStart)
-		for lx.pos < len(lx.src) && !lx.startsWith(lx.syntax.BlockEnd) {
-			if lx.src[lx.pos] == '\n' {
-				lx.line++
-			}
-			lx.pos++
-		}
-		if lx.pos < len(lx.src) {
-			lx.pos += len(lx.syntax.BlockEnd)
-		}
+	if bs := syn.BlockStart; bs != "" && c == bs[0] && strings.HasPrefix(src[pos:], bs) {
+		lx.skipPast(pos+len(bs), syn.BlockEnd)
 		return lx.tok(Comment, start, startLine)
 	}
 
 	// Triple-quoted strings (Python).
-	if lx.syntax.RawTripleQuote && (lx.startsWith(`"""`) || lx.startsWith("'''")) {
-		quote := lx.src[lx.pos : lx.pos+3]
-		lx.pos += 3
-		for lx.pos < len(lx.src) && !lx.startsWith(quote) {
-			if lx.src[lx.pos] == '\n' {
-				lx.line++
-			}
-			lx.pos++
-		}
-		if lx.pos < len(lx.src) {
-			lx.pos += 3
-		}
+	if syn.RawTripleQuote && (c == '"' || c == '\'') && pos+2 < len(src) && src[pos+1] == c && src[pos+2] == c {
+		lx.skipPast(pos+3, src[pos:pos+3])
 		return lx.tok(String, start, startLine)
 	}
 
 	// Quoted strings/chars.
-	for _, q := range lx.syntax.StringQuotes {
+	for _, q := range syn.StringQuotes {
 		if c == q {
-			lx.pos++
-			for lx.pos < len(lx.src) {
-				ch := lx.src[lx.pos]
-				if ch == '\\' && lx.pos+1 < len(lx.src) {
-					lx.pos += 2
+			pos++
+			for pos < len(src) {
+				ch := src[pos]
+				if ch == '\\' && pos+1 < len(src) {
+					pos += 2
 					continue
 				}
 				if ch == '\n' { // unterminated: stop at line end
 					break
 				}
-				lx.pos++
+				pos++
 				if ch == q {
 					break
 				}
 			}
+			lx.pos = pos
 			return lx.tok(String, start, startLine)
 		}
 	}
 
-	// Numbers: ints, floats, hex, exponents, suffixes.
-	if isDigit(c) || (c == '.' && isDigit(lx.peekAt(1))) {
-		lx.pos++
-		for lx.pos < len(lx.src) {
-			ch := lx.src[lx.pos]
-			if isDigit(ch) || isAlpha(ch) || ch == '.' || ch == '_' {
-				lx.pos++
-				continue
-			}
-			// Exponent sign: 1e-5
-			if (ch == '+' || ch == '-') && lx.pos > start {
-				prev := lx.src[lx.pos-1]
-				if prev == 'e' || prev == 'E' {
-					lx.pos++
-					continue
-				}
-			}
-			break
-		}
-		return lx.tok(Number, start, startLine)
-	}
-
-	// Identifiers and keywords.
-	if isAlpha(c) || c == '_' {
-		lx.pos++
-		for lx.pos < len(lx.src) && (isAlnum(lx.src[lx.pos]) || lx.src[lx.pos] == '_') {
-			lx.pos++
-		}
-		kind := Ident
-		if lx.syntax.Keywords[lx.src[start:lx.pos]] {
-			kind = Keyword
-		}
-		return lx.tok(kind, start, startLine)
-	}
-
-	// Multi-character operators. Skip "//" which would have been a comment
-	// already for C-family; for Python "//" is floor division and there is no
-	// "//" line comment, so this is safe either way.
-	for _, op := range multiOps {
-		if lx.startsWith(op) {
-			lx.pos += len(op)
+	// Multi-character operators. "//" is only reached where it is not a
+	// comment (Python's floor division).
+	for _, op := range opsByLead[c] {
+		if strings.HasPrefix(src[pos:], op) {
+			lx.pos = pos + len(op)
 			return lx.tok(Operator, start, startLine)
 		}
 	}
@@ -351,6 +330,21 @@ func (lx *Lexer) Next() Token {
 		return lx.tok(Punct, start, startLine)
 	default:
 		return lx.tok(Operator, start, startLine)
+	}
+}
+
+// skipPast moves the lexer from p to just past the first closer at or after
+// p, counting the newlines it crosses; an unclosed construct runs to the end
+// of input.
+func (lx *Lexer) skipPast(p int, closer string) {
+	end := len(lx.src)
+	if i := strings.Index(lx.src[p:], closer); i >= 0 {
+		end = p + i
+	}
+	lx.line += int32(strings.Count(lx.src[p:end], "\n"))
+	lx.pos = end
+	if end < len(lx.src) {
+		lx.pos += len(closer)
 	}
 }
 
@@ -369,10 +363,33 @@ func (lx *Lexer) atLineStart(p int) bool {
 	return true
 }
 
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+// Byte classes for first-byte dispatch.
+const (
+	identStart uint8 = 1 << iota // letters (Latin-1 letters above 0x7f) and '_'
+	identPart                    // identStart or digit
+	digit                        // '0'..'9'
+)
 
-func isAlpha(c byte) bool {
-	return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80 && unicode.IsLetter(rune(c))
-}
+var byteClass = func() (t [256]uint8) {
+	for i := range t {
+		c := byte(i)
+		isDigit := c >= '0' && c <= '9'
+		isAlpha := (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80 && unicode.IsLetter(rune(c))
+		if isAlpha || c == '_' {
+			t[i] |= identStart | identPart
+		}
+		if isDigit {
+			t[i] |= identPart | digit
+		}
+	}
+	return t
+}()
 
-func isAlnum(c byte) bool { return isAlpha(c) || isDigit(c) }
+// opsByLead holds multiOps grouped by leading byte, each group in multiOps'
+// order, so the first prefix match is the one a scan of multiOps would find.
+var opsByLead = func() (t [256][]string) {
+	for _, op := range multiOps {
+		t[op[0]] = append(t[op[0]], op)
+	}
+	return t
+}()

@@ -29,13 +29,20 @@ func (c *LineCount) Add(o LineCount) {
 // state machine over raw text (not the token stream) so it is exact about
 // blank lines and mixed code/comment lines, matching cloc's semantics.
 func CountLines(f File) LineCount {
-	syn := lang.SyntaxOf(f.Language)
+	return countLines(splitLines(f.Content), lang.SyntaxOf(f.Language))
+}
+
+// countLines classifies lines as split by splitLines. Like lexer.Next it
+// dispatches on each byte: a comment or triple-quote marker is compared only
+// at a byte equal to the marker's first byte, so a run of code costs one
+// pass of byte compares. The sequential reference it must match lives in
+// reference_test.go.
+func countLines(lines []string, syn lang.Syntax) LineCount {
 	var out LineCount
 	inBlock := false  // inside a /* ... */ block comment
 	inTriple := false // inside a Python triple-quoted string
 	tripleQuote := "" // the active triple delimiter
 
-	lines := splitLines(f.Content)
 	for _, line := range lines {
 		hasCode := false
 		hasComment := false
@@ -71,24 +78,24 @@ func CountLines(f File) LineCount {
 			}
 			// Line comments.
 			for _, lc := range syn.LineComment {
-				if strings.HasPrefix(line[i:], lc) {
+				if c == lc[0] && strings.HasPrefix(line[i:], lc) {
 					hasComment = true
 					break scan
 				}
 			}
 			// Block comments.
-			if syn.BlockStart != "" && strings.HasPrefix(line[i:], syn.BlockStart) {
+			if bs := syn.BlockStart; bs != "" && c == bs[0] && strings.HasPrefix(line[i:], bs) {
 				hasComment = true
-				end := strings.Index(line[i+len(syn.BlockStart):], syn.BlockEnd)
+				end := strings.Index(line[i+len(bs):], syn.BlockEnd)
 				if end < 0 {
 					inBlock = true
 					break scan
 				}
-				i += len(syn.BlockStart) + end + len(syn.BlockEnd)
+				i += len(bs) + end + len(syn.BlockEnd)
 				continue
 			}
 			// Triple-quoted strings.
-			if syn.RawTripleQuote && (strings.HasPrefix(line[i:], `"""`) || strings.HasPrefix(line[i:], "'''")) {
+			if syn.RawTripleQuote && (c == '"' || c == '\'') && i+2 < len(line) && line[i+1] == c && line[i+2] == c {
 				hasCode = true
 				q := line[i : i+3]
 				end := strings.Index(line[i+3:], q)

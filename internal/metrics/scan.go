@@ -61,7 +61,8 @@ type treeScan struct {
 // whole tree (so distinct counts reflect cross-file reuse), while the
 // per-file scanner passes fresh maps and merges them later.
 func (sc *treeScan) scanFile(f File, buf *scanBuf, lineSeen, operators, operands map[string]int) {
-	lc := CountLines(f)
+	lines := splitLines(f.Content)
+	lc := countLines(lines, lang.SyntaxOf(f.Language))
 	sc.total.Add(lc)
 	sc.codePerLang[f.Language] += lc.Code
 	sc.commentLines += lc.Comment
@@ -70,7 +71,6 @@ func (sc *treeScan) scanFile(f File, buf *scanBuf, lineSeen, operators, operands
 		sc.smells.GodFiles++
 	}
 
-	lines := splitLines(f.Content)
 	for _, line := range lines {
 		if len(line) > LongLineChars {
 			sc.smells.LongLines++

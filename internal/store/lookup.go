@@ -33,6 +33,9 @@ func leafValue(r treeReader, n *node, i int) ([]byte, error) {
 	return readOverflow(n.ovf[i], int(n.vlen[i]), r.readRaw)
 }
 
+// errTooDeep refuses a walk that passes maxTreeDepth.
+var errTooDeep = fmt.Errorf("%w: tree deeper than %d levels", ErrCorrupt, maxTreeDepth)
+
 // lookupKey walks root-to-leaf for key.
 func lookupKey(r treeReader, root uint64, key []byte) ([]byte, bool, error) {
 	if root == 0 {
@@ -40,8 +43,8 @@ func lookupKey(r treeReader, root uint64, key []byte) ([]byte, bool, error) {
 	}
 	pgid := root
 	for depth := 0; ; depth++ {
-		if depth > 64 {
-			return nil, false, fmt.Errorf("%w: tree deeper than 64 levels", ErrCorrupt)
+		if depth > maxTreeDepth {
+			return nil, false, errTooDeep
 		}
 		n, err := r.readNode(pgid)
 		if err != nil {
@@ -71,8 +74,8 @@ func scanTree(r treeReader, root uint64, start, end []byte, fn func(key, val []b
 	}
 	var walk func(pgid uint64, depth int) (bool, error)
 	walk = func(pgid uint64, depth int) (bool, error) {
-		if depth > 64 {
-			return false, fmt.Errorf("%w: tree deeper than 64 levels", ErrCorrupt)
+		if depth > maxTreeDepth {
+			return false, errTooDeep
 		}
 		n, err := r.readNode(pgid)
 		if err != nil {

@@ -91,6 +91,24 @@ func decodeNode(p []byte, pgid uint64) (*node, error) {
 	}
 	count := int(pageCount16(p))
 	n := &node{leaf: flags == flagLeaf}
+	if count > 0 {
+		// Size the cell slices once. The count is untrusted: cap it at the
+		// cells a page holds at their minimum size (a larger count fails
+		// the bounds checks below anyway).
+		overhead := branchCellOverhead
+		if n.leaf {
+			overhead = leafCellOverhead
+		}
+		c := min(count, (pageSize-pageHeaderSize)/overhead)
+		n.keys = make([][]byte, 0, c)
+		if n.leaf {
+			n.vals = make([][]byte, 0, c)
+			n.vlen = make([]uint32, 0, c)
+			n.ovf = make([]uint64, 0, c)
+		} else {
+			n.children = make([]uint64, 0, c)
+		}
+	}
 	r := pageHeaderSize
 	bad := func() (*node, error) {
 		return nil, fmt.Errorf("%w: page %d cell directory overruns the page", ErrCorrupt, pgid)

@@ -57,3 +57,38 @@ func FuzzDecodeNode(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeNodeSizesSlicesOnce pins that decoding allocates the node, its
+// cell slices once each, and a copy per key and inline value: no slice
+// regrows while the cells are read.
+func TestDecodeNodeSizesSlicesOnce(t *testing.T) {
+	leaf := &node{leaf: true}
+	branch := &node{}
+	for i := 0; i < 60; i++ {
+		k := []byte{byte('a' + i/26), byte('a' + i%26)}
+		leaf.keys = append(leaf.keys, k)
+		leaf.vals = append(leaf.vals, []byte("v"))
+		leaf.vlen = append(leaf.vlen, 1)
+		leaf.ovf = append(leaf.ovf, 0)
+		branch.keys = append(branch.keys, k)
+		branch.children = append(branch.children, uint64(i+3))
+	}
+	for _, tc := range []struct {
+		name string
+		n    *node
+		want float64
+	}{
+		{"leaf", leaf, 1 + 4 + 60 + 60},
+		{"branch", branch, 1 + 2 + 60},
+	} {
+		p := tc.n.encode()
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := decodeNode(p, 7); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("%s: decodeNode allocates %v times, want %v", tc.name, got, tc.want)
+		}
+	}
+}

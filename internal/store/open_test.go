@@ -303,3 +303,76 @@ func FuzzOpen(f *testing.F) {
 		}
 	})
 }
+
+// writeTree writes a store whose meta slot 0 commits root 2 over the given
+// pages, sealed, at page ids 2, 3, ... Slot 1 describes the empty store.
+func writeTree(t *testing.T, path string, pages ...*node) {
+	t.Helper()
+	b := make([]byte, (firstDataPage+len(pages))*pageSize)
+	copy(b, encodeMeta(1, firstDataPage, uint64(firstDataPage+len(pages))))
+	copy(b[pageSize:], encodeMeta(0, 0, firstDataPage))
+	for i, n := range pages {
+		copy(b[(firstDataPage+i)*pageSize:], n.encode())
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// chain returns depth one-child branch pages over a one-row leaf, the
+// branch at index i pointing at page 3+i: the leaf sits at depth depth.
+func chain(depth int) []*node {
+	var pages []*node
+	for i := 0; i < depth; i++ {
+		pages = append(pages, &node{keys: [][]byte{nil}, children: []uint64{uint64(firstDataPage + 1 + i)}})
+	}
+	return append(pages, &node{leaf: true, keys: [][]byte{[]byte("k")}, vals: [][]byte{[]byte("v")},
+		vlen: []uint32{1}, ovf: []uint64{0}})
+}
+
+// TestOpenRefusesTreesReadsRefuse: Open's reachability walk refuses what
+// every Get, Put and Scan would, a branch page with no children and a
+// tree deeper than maxTreeDepth, with ErrCorrupt, and opens the deepest
+// tree they accept.
+func TestOpenRefusesTreesReadsRefuse(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name  string
+		pages []*node
+	}{
+		{"empty branch root", []*node{{}}},
+		{"empty branch below the root", []*node{{keys: [][]byte{nil}, children: []uint64{3}}, {}}},
+		{"leaf one level too deep", chain(maxTreeDepth + 1)},
+	} {
+		path := filepath.Join(dir, tc.name+".db")
+		writeTree(t, path, tc.pages...)
+		db, err := Open(path, Options{NoSync: true})
+		if err == nil {
+			db.Close()
+			t.Errorf("%s: Open succeeded", tc.name)
+		} else if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Open error is not ErrCorrupt: %v", tc.name, err)
+		}
+	}
+
+	// The deepest tree the walks accept opens, reads and takes a write.
+	path := filepath.Join(dir, "deepest.db")
+	writeTree(t, path, chain(maxTreeDepth)...)
+	db, err := Open(path, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("Open of a tree %d levels deep: %v", maxTreeDepth, err)
+	}
+	defer db.Close()
+	if err := db.View(func(s *Snapshot) error {
+		v, ok, err := s.Get([]byte("k"))
+		if err == nil && (!ok || string(v) != "v") {
+			err = fmt.Errorf("Get = %q, %v, want \"v\", true", v, ok)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Update(func(tx *Tx) error { return tx.Put([]byte("k2"), []byte("v2")) }); err != nil {
+		t.Fatal(err)
+	}
+}

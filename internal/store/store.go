@@ -52,6 +52,11 @@ const (
 
 	// firstDataPage: pages 0 and 1 are the alternating meta slots.
 	firstDataPage = 2
+
+	// maxTreeDepth bounds every root-to-leaf walk (lookup, scan, and
+	// Open's reachability walk): the root sits at depth 0 and a page below
+	// depth maxTreeDepth is corrupt.
+	maxTreeDepth = 64
 )
 
 // Typed failures callers branch on with errors.Is.

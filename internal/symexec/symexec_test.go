@@ -256,3 +256,12 @@ int f(int i) {
 		t.Fatalf("paths = %d (%+v)", res.FeasiblePaths, res.Paths)
 	}
 }
+
+// TestExploreTempDoesNotAliasLocal: a local named t0 keeps its own
+// interval while y's initializer defines the function's first temporary.
+func TestExploreTempDoesNotAliasLocal(t *testing.T) {
+	res := explore(t, "int f(int x){int t0=5; int y=x*2+1; return t0;}")
+	if len(res.Paths) != 1 || res.Paths[0].Return != Single(5) {
+		t.Fatalf("paths = %+v, want one returning [5,5]", res.Paths)
+	}
+}

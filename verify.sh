@@ -4,7 +4,8 @@
 # trees, the extraction worker pool, the feature cache, and the
 # cancellation/panic-containment paths — is race-checked on every run),
 # and short native-fuzz smokes over the MiniC parser (the panic source
-# the containment layer most needs to hold against), the query parser,
+# the containment layer most needs to hold against), the lexer and line
+# counter against their reference implementations, the query parser,
 # the daemon's wire-to-tree admission, the classifier decoder, the
 # whole model loader in both formats, the store's page decoder,
 # overflow-chain reader and Open over fuzzed meta slots and log, and the
@@ -39,6 +40,14 @@ go test -race -timeout 5m ./...
 
 echo "== fuzz smoke (FuzzParse, 10s) =="
 go test -run Fuzz -fuzz FuzzParse -fuzztime 10s ./internal/minic
+
+# FuzzTokenize and FuzzCountLines hold the lexer's and line counter's
+# first-byte dispatch to the sequential references kept in their tests.
+echo "== fuzz smoke (FuzzTokenize, 10s) =="
+go test -run Fuzz -fuzz FuzzTokenize -fuzztime 10s ./internal/lexer
+
+echo "== fuzz smoke (FuzzCountLines, 10s) =="
+go test -run Fuzz -fuzz FuzzCountLines -fuzztime 10s ./internal/metrics
 
 echo "== fuzz smoke (FuzzQueryParse, 10s) =="
 go test -run Fuzz -fuzz FuzzQueryParse -fuzztime 10s ./internal/store/query
