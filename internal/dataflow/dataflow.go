@@ -14,10 +14,13 @@ import (
 )
 
 // Def identifies one definition site: instruction Index in Block defines Var.
+// Temp reports that the destination is a compiler temporary (ir.Temp), not
+// a program variable.
 type Def struct {
 	Block *ir.Block
 	Index int
 	Var   string
+	Temp  bool
 }
 
 // String renders "x@block2[3]".
@@ -26,8 +29,8 @@ func (d Def) String() string {
 }
 
 // destName returns the defined variable name of an instruction, treating
-// temps as variables named "tN". Array stores define the array name (weak
-// update).
+// temps as variables named by Temp.String. Array stores define the array
+// name (weak update).
 func destName(in ir.Instr) (string, bool) {
 	if st, ok := in.(*ir.ArrayStore); ok {
 		return st.Array, true
@@ -186,7 +189,8 @@ func DeadStores(f *ir.Func) []Def {
 			in := b.Instrs[i]
 			if name, ok := destName(in); ok {
 				if _, isStore := in.(*ir.ArrayStore); !isStore {
-					recs = append(recs, rec{def: Def{Block: b, Index: i, Var: name}, dead: !live[name]})
+					_, temp := in.Defs().(ir.Temp)
+					recs = append(recs, rec{def: Def{Block: b, Index: i, Var: name, Temp: temp}, dead: !live[name]})
 					delete(live, name)
 				}
 			}

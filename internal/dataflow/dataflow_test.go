@@ -69,8 +69,31 @@ func TestDeadStoresTerminatorUse(t *testing.T) {
 	// be a dead store.
 	f := lower(t, "int f(int a) { if (a > 1) { return 1; } return 0; }")
 	for _, d := range DeadStores(f) {
-		if d.Var[0] == 't' {
+		if d.Temp {
 			t.Fatalf("branch condition reported dead: %v", d)
+		}
+	}
+}
+
+func TestDeadStoresMarksTemps(t *testing.T) {
+	// MiniC source never leaves a temporary unused, so build one by hand:
+	// both the temporary and the variable are dead, and only the
+	// temporary's Def is marked Temp.
+	f := &ir.Func{Name: "f", Params: []string{"a"}, NTemps: 1, Blocks: []*ir.Block{{
+		Name: "entry0",
+		Instrs: []ir.Instr{
+			&ir.BinOp{Dst: ir.Temp{ID: 0}, Op: "+", L: ir.Var{Name: "a"}, R: ir.Const{V: 1}},
+			&ir.Assign{Dst: ir.Var{Name: "t0"}, Src: ir.Var{Name: "a"}},
+		},
+		Term: &ir.Ret{Value: ir.Var{Name: "a"}},
+	}}}
+	dead := DeadStores(f)
+	if len(dead) != 2 {
+		t.Fatalf("dead stores = %v, want the temporary and t0", dead)
+	}
+	for _, d := range dead {
+		if want := d.Index == 0; d.Temp != want {
+			t.Fatalf("%v: Temp = %v, want %v", d, d.Temp, want)
 		}
 	}
 }

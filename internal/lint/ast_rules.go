@@ -18,7 +18,7 @@ func checkAST(path string, prog *minic.Program, rep *Report) {
 	}
 	for _, f := range lowered.Funcs {
 		for _, d := range dataflow.DeadStores(f) {
-			if d.Var == "" || d.Var[0] == 't' && isTempName(d.Var) {
+			if d.Var == "" || d.Temp {
 				continue
 			}
 			line := 0
@@ -60,18 +60,6 @@ func checkAST(path string, prog *minic.Program, rep *Report) {
 			}
 		})
 	}
-}
-
-func isTempName(s string) bool {
-	if len(s) < 2 || s[0] != 't' {
-		return false
-	}
-	for _, c := range s[1:] {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
 }
 
 // walkStmts visits every statement in a block, recursively.

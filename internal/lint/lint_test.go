@@ -218,6 +218,23 @@ int f(int a) {
 	}
 }
 
+func TestDeadStoreReportsLocalNamedLikeTemp(t *testing.T) {
+	// A program variable is reported whatever its name, t1 included.
+	rep := Check(tree(metrics.File{Path: "p.mc", Content: `
+int f(int a) {
+	int t1 = a;
+	return a;
+}`}))
+	if rep.Count(RuleDeadStore) != 1 {
+		t.Fatalf("dead stores = %d\n%s", rep.Count(RuleDeadStore), rep)
+	}
+	for _, w := range rep.Warnings {
+		if w.Rule == RuleDeadStore && w.Msg != "value assigned to t1 is never used" {
+			t.Fatalf("unexpected dead-store target: %+v", w)
+		}
+	}
+}
+
 func TestASTRulesWalkNestedConstructs(t *testing.T) {
 	// Exercise the walker across for-loops, nested blocks, and else arms.
 	rep := Check(tree(metrics.File{Path: "p.mc", Content: `

@@ -72,7 +72,7 @@ type state struct {
 	inputVer map[string]int
 	// copyOf links a variable to the variable it was copied from, so branch
 	// refinements propagate back to input dimensions through copies
-	// ("data = t0" where t0 was read_input()'s result).
+	// ("data = $0" where $0 was read_input()'s result).
 	copyOf map[string]copyLink
 	visits map[*ir.Block]int
 	steps  int
