@@ -103,31 +103,38 @@ func CollectFindings(ctx context.Context, tree *metrics.Tree, cfg FindingsConfig
 // runs the analysis only on a miss. The key covers the analysis version,
 // the record kind, the language AnalyzeFile runs at and the bytes: the
 // complete input of the list but for each finding's File, which the record
-// leaves blank and the read fills in. Only a completed analysis is written
-// back, and only when every string survives a JSON round trip unchanged
-// (JSON would replace invalid UTF-8 in a message, and a warm run must print
-// what a cold run prints).
+// leaves blank. A hit's list is shared with every other reader of the
+// record, so the read copies it before filling in File. Only a completed
+// analysis is written back, and only when every string survives a JSON
+// round trip unchanged (JSON would replace invalid UTF-8 in a message, and
+// a warm run must print what a cold run prints).
 func fileFindingsCached(ctx context.Context, f metrics.File, cfg FindingsConfig) ([]findings.Finding, FileStatus, string) {
 	if cfg.Cache == nil {
 		return fileFindingsContained(ctx, f, cfg.FileTimeout)
 	}
-	key := featcache.Key(AnalysisVersion, "findings", findings.Language(f).String(), f.Content)
-	var rec findingsRecord
-	if cfg.Cache.GetJSON(key, &rec) {
-		for i := range rec.Findings {
-			rec.Findings[i].File = f.Path
+	key := findingsKey(f)
+	if rec, ok := featcache.Get[findingsRecord](cfg.Cache, key); ok {
+		list := append([]findings.Finding(nil), rec.Findings...)
+		for i := range list {
+			list[i].File = f.Path
 		}
-		return rec.Findings, StatusCacheHit, ""
+		return list, StatusCacheHit, ""
 	}
 	list, status, detail := fileFindingsContained(ctx, f, cfg.FileTimeout)
 	if status == StatusOK && roundTrips(list) {
-		rec.Findings = append([]findings.Finding(nil), list...)
+		rec := findingsRecord{Findings: append([]findings.Finding(nil), list...)}
 		for i := range rec.Findings {
 			rec.Findings[i].File = ""
 		}
-		_ = cfg.Cache.PutJSON(key, rec)
+		_ = featcache.Put(cfg.Cache, key, rec)
 	}
 	return list, status, detail
+}
+
+// findingsKey is the feature-cache key of f's findings record: the record
+// kind, then the language AnalyzeFile runs at.
+func findingsKey(f metrics.File) string {
+	return featcache.Key(AnalysisVersion, "findings", findings.Language(f).String(), f.Content)
 }
 
 // fileFindingsContained runs findings.AnalyzeFile under the extraction

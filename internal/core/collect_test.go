@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -157,6 +158,93 @@ func TestFindingsRecordServesEveryPath(t *testing.T) {
 		}
 		if n, _ := cache.MemStats(); n != 1 {
 			t.Fatalf("jobs=%d: %d cache records for one file's bytes at two paths, want 1", jobs, n)
+		}
+	}
+}
+
+// TestSharedRecordsServeConcurrentReaders: the memory tier hands every
+// reader the same stored record, so many goroutines extract features and
+// collect findings at once against one warm cache, from trees that hold
+// one file's bytes at several paths. Each report names its own paths and
+// equals the uncached one, no warm read misses, and the stored findings
+// record keeps File blank. Under -race, a reader writing its path into the
+// shared record would race every other reader.
+func TestSharedRecordsServeConcurrentReaders(t *testing.T) {
+	src := "int f(int n) { int d = read_input(); strcpy(n, d); system(d); return d / n; }\n"
+	spec := langgen.DefaultSpec()
+	spec.Files, spec.FuncsPerFile, spec.StmtsPerFunc = 2, 3, 6
+	spec.VulnDensity = 0.6
+	gen := langgen.Generate(spec)
+	var trees []*metrics.Tree
+	for r := 0; r < 4; r++ {
+		tree := metrics.NewTree(fmt.Sprintf("repo%d", r),
+			metrics.File{Path: fmt.Sprintf("r%d/a/twin.mc", r), Language: lang.MiniC, Content: src},
+			metrics.File{Path: fmt.Sprintf("r%d/b/twin.mc", r), Language: lang.MiniC, Content: src},
+			metrics.File{Path: fmt.Sprintf("r%d/twin.mc", r), Content: src},
+		)
+		for _, f := range gen.Files {
+			f.Path = fmt.Sprintf("r%d/%s", r, f.Path)
+			tree.Files = append(tree.Files, f)
+		}
+		trees = append(trees, tree)
+	}
+	// The trees differ only in their paths' first element, so one uncached
+	// run gives every tree's vector, and its report gives every tree's
+	// report with the paths renamed.
+	ctx := context.Background()
+	wantFV := ExtractFeatures(trees[0])
+	rep0 := marshalReport(t, referenceFindings(trees[0], findings.SevInfo))
+	wantRep := make([]string, len(trees))
+	cache := featcache.NewMemory()
+	for i, tree := range trees {
+		wantRep[i] = strings.ReplaceAll(rep0, `"File":"r0/`, fmt.Sprintf(`"File":"r%d/`, i))
+		if _, err := ExtractFeaturesWith(ctx, tree, ExtractConfig{Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		mustCollect(t, tree, FindingsConfig{Cache: cache})
+	}
+	_, warmMisses := cache.Stats()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for pass := 0; pass < 3; pass++ {
+				fv, err := ExtractFeaturesWith(ctx, trees[i], ExtractConfig{Jobs: 2, Cache: cache})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, n := range metrics.FeatureNames {
+					if fv[n] != wantFV[n] {
+						t.Errorf("tree %d: feature %s = %v, want %v (uncached)", i, n, fv[n], wantFV[n])
+						return
+					}
+				}
+				rep, err := CollectFindings(ctx, trees[i], FindingsConfig{Jobs: 2, Cache: cache})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := json.Marshal(rep); err != nil || string(got) != wantRep[i] {
+					t.Errorf("tree %d:\n%s\nwant\n%s", i, got, wantRep[i])
+					return
+				}
+			}
+		}(g % len(trees))
+	}
+	wg.Wait()
+	if _, misses := cache.Stats(); misses != warmMisses {
+		t.Fatalf("warm readers missed %d records", misses-warmMisses)
+	}
+	rec, ok := featcache.Get[findingsRecord](cache, findingsKey(trees[0].Files[0]))
+	if !ok || len(rec.Findings) == 0 {
+		t.Fatalf("the twins' findings record: %+v, %v", rec, ok)
+	}
+	for _, fd := range rec.Findings {
+		if fd.File != "" {
+			t.Fatalf("the stored findings record names %q; it must keep File blank", fd.File)
 		}
 	}
 }

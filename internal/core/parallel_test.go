@@ -162,7 +162,7 @@ func TestExtractFeaturesCacheHitMissAndInvalidation(t *testing.T) {
 
 	// A version bump invalidates every entry: fresh keys all miss.
 	for _, f := range tree.Files {
-		if _, ok := cache.Get(featcache.Key(AnalysisVersion+"-next", f.Language.String(), f.Content)); ok {
+		if _, ok := featcache.Get[fileEnrichment](cache, featcache.Key(AnalysisVersion+"-next", f.Language.String(), f.Content)); ok {
 			t.Fatal("version-bumped key unexpectedly hit")
 		}
 	}

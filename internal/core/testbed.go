@@ -452,10 +452,9 @@ func enrichFileCached(ctx context.Context, f metrics.File, cfg ExtractConfig, ct
 	if cfg.Cache == nil {
 		return enrichFileDeadline(ctx, f, cfg.FileTimeout, fs)
 	}
-	key := featcache.Key(AnalysisVersion, f.Language.String(), f.Content)
+	key := enrichmentKey(f)
 	cs := fs.Child("cache")
-	var out fileEnrichment
-	hit := cfg.Cache.GetJSON(key, &out)
+	out, hit := featcache.Get[fileEnrichment](cfg.Cache, key)
 	cs.End()
 	if hit {
 		ct.hits.Add(1)
@@ -465,9 +464,14 @@ func enrichFileCached(ctx context.Context, f metrics.File, cfg ExtractConfig, ct
 	ct.misses.Add(1)
 	out, status, detail := enrichFileDeadline(ctx, f, cfg.FileTimeout, fs)
 	if status == StatusOK || status == StatusParseSkip {
-		_ = cfg.Cache.PutJSON(key, out)
+		_ = featcache.Put(cfg.Cache, key, out)
 	}
 	return out, status, detail
+}
+
+// enrichmentKey is the feature-cache key of f's enrichment record.
+func enrichmentKey(f metrics.File) string {
+	return featcache.Key(AnalysisVersion, f.Language.String(), f.Content)
 }
 
 // enrichFileDeadline runs one file's deep analysis under runContained's

@@ -20,7 +20,7 @@ func TestHistogramConformance(t *testing.T) {
 	mA, _ := getModels(t)
 	reg := NewRegistry("", nil)
 	reg.Register("default", mA)
-	_, ts := newTestServer(t, reg, Config{Workers: 2, History: openHistory(t)})
+	s, ts := newTestServer(t, reg, Config{Workers: 2, History: openHistory(t)})
 
 	// Mixed traffic: successes, a 404, two endpoints.
 	for i := 0; i < 3; i++ {
@@ -35,6 +35,20 @@ func TestHistogramConformance(t *testing.T) {
 	// The recorded scores left B+tree pages in the store's page cache.
 	if cached := exp.families["secmetricd_store_cached_pages"]; len(cached) != 1 || cached[0].value <= 0 {
 		t.Errorf("secmetricd_store_cached_pages = %+v, want one positive sample", cached)
+	}
+	// The feature cache's memory tier holds the scored files' enrichment
+	// and findings records, and its gauges read what MemStats reads.
+	wantEntries, wantBytes := s.cache.MemStats()
+	if wantEntries == 0 {
+		t.Fatal("the scored trees left no feature-cache records in memory")
+	}
+	for fam, want := range map[string]float64{
+		"secmetricd_featcache_mem_entries": float64(wantEntries),
+		"secmetricd_featcache_mem_bytes":   float64(wantBytes),
+	} {
+		if got := exp.families[fam]; len(got) != 1 || got[0].value != want {
+			t.Errorf("%s = %+v, want one sample of %g", fam, got, want)
+		}
 	}
 
 	// Every family has headers.

@@ -593,6 +593,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "# HELP secmetricd_featcache_corrupt_total Disk cache entries that failed validation on read (counted, then treated as misses).")
 	fmt.Fprintln(w, "# TYPE secmetricd_featcache_corrupt_total counter")
 	fmt.Fprintf(w, "secmetricd_featcache_corrupt_total %d\n", s.cache.CorruptReads())
+	memEntries, memBytes := s.cache.MemStats()
+	fmt.Fprintln(w, "# HELP secmetricd_featcache_mem_entries Records held in the shared feature cache's memory tier, enrichment and findings alike.")
+	fmt.Fprintln(w, "# TYPE secmetricd_featcache_mem_entries gauge")
+	fmt.Fprintf(w, "secmetricd_featcache_mem_entries %d\n", memEntries)
+	fmt.Fprintln(w, "# HELP secmetricd_featcache_mem_bytes Encoded (JSON) bytes of the records in the feature cache's memory tier, the size its budget bounds.")
+	fmt.Fprintln(w, "# TYPE secmetricd_featcache_mem_bytes gauge")
+	fmt.Fprintf(w, "secmetricd_featcache_mem_bytes %d\n", memBytes)
 	fmt.Fprintln(w, "# HELP secmetricd_models_loaded Models in the current registry snapshot.")
 	fmt.Fprintln(w, "# TYPE secmetricd_models_loaded gauge")
 	fmt.Fprintf(w, "secmetricd_models_loaded %d\n", len(s.reg.Snapshot().Models))

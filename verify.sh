@@ -8,8 +8,8 @@
 # counter against their reference implementations, the query parser,
 # the daemon's wire-to-tree admission, the classifier decoder, the
 # whole model loader in both formats, the store's page decoder,
-# overflow-chain reader and Open over fuzzed meta slots and log, and the
-# client's NDJSON stream reader. The servebench module, which the root
+# overflow-chain reader and Open over fuzzed meta slots and log, the
+# client's NDJSON stream reader, and the feature cache's disk records. The servebench module, which the root
 # module's build never reaches, is vetted and tested on its own. Ends with
 # the live secmetricd drills that need real processes: SIGTERM must drain
 # requests in flight cleanly, and a 3-backend fleet behind the
@@ -82,6 +82,12 @@ go test -run Fuzz -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 5x ./internal/s
 
 echo "== fuzz smoke (FuzzReadStream, 10s) =="
 go test -run Fuzz -fuzz FuzzReadStream -fuzztime 10s ./pkg/client
+
+# FuzzCacheRecord plants each input as a feature-cache entry of both record
+# kinds. Its seeds are the ~1 KB golden records; without the cap one
+# minimization stalls the smoke after about 50 execs.
+echo "== fuzz smoke (FuzzCacheRecord, 10s) =="
+go test -run Fuzz -fuzz FuzzCacheRecord -fuzztime 10s -fuzzminimizetime 5x ./internal/core
 
 echo "== findings smoke (examples/vulnapp) =="
 out=$(go run ./cmd/secmetric findings examples/vulnapp)
