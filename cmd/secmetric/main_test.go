@@ -295,29 +295,57 @@ func captureStdout(t *testing.T, fn func() error) string {
 	return out
 }
 
-// TestCLIAnalyzeTraceAndSlowest runs a traced analysis and checks both the
-// Perfetto export and the slowest-files table.
+// TestCLIAnalyzeTraceAndSlowest runs a traced analysis at -jobs 1 and 8 and
+// checks the slowest-files table and the Perfetto export: every event is a
+// named complete ("X") event with a non-negative start and duration on a
+// lane (tid) of at least 1, and both widths export the same (name, args)
+// sequence. a.mc is analyzed first and takes longest, so at -jobs 8 the
+// other files finish before it: the sequences agree only because children
+// render in work-item order, not completion order.
 func TestCLIAnalyzeTraceAndSlowest(t *testing.T) {
 	dir := writeSrc(t, "main.c", cliSrc)
-	if err := os.WriteFile(filepath.Join(dir, "two.c"), []byte("int f(int x) { return x + 1; }\n"), 0o644); err != nil {
-		t.Fatal(err)
+	var big strings.Builder
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&big, "int f%d(int x) { int y = recv(x); if (x > %d) { strcpy(y, x); return y; } return x + %d; }\n", i, i, i)
 	}
-	traceFile := filepath.Join(t.TempDir(), "out.json")
-	out := captureStdout(t, func() error {
-		return run(context.Background(), []string{"analyze", "-trace", traceFile, "-slowest", "2", dir})
-	})
-	if !strings.Contains(out, "file") || !strings.Contains(out, "main.c") {
-		t.Fatalf("slowest table missing file rows:\n%s", out)
+	for name, src := range map[string]string{"a.mc": big.String(), "two.c": "int f(int x) { return x + 1; }\n"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	var shapes []string
+	for _, jobs := range []string{"1", "8"} {
+		traceFile := filepath.Join(t.TempDir(), "out.json")
+		out := captureStdout(t, func() error {
+			return run(context.Background(), []string{"analyze", "-jobs", jobs, "-trace", traceFile, "-slowest", "3", dir})
+		})
+		if !strings.Contains(out, "file") || !strings.Contains(out, "a.mc") || !strings.Contains(out, "main.c") {
+			t.Fatalf("jobs=%s: slowest table missing file rows:\n%s", jobs, out)
+		}
+		shapes = append(shapes, traceShape(t, traceFile))
+	}
+	if shapes[0] != shapes[1] {
+		t.Fatalf("trace exports differ between -jobs 1 and 8:\n--- jobs=1\n%s--- jobs=8\n%s", shapes[0], shapes[1])
+	}
+}
 
-	raw, err := os.ReadFile(traceFile)
+// traceShape checks every event of a trace_event file and returns its
+// durationless shape: the ordered (name, args) sequence. Lanes (tids) are
+// left out, since they depend on which spans overlapped in time.
+func traceShape(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tf struct {
 		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
+			Name string          `json:"name"`
+			Ph   string          `json:"ph"`
+			TS   *float64        `json:"ts"`
+			Dur  *float64        `json:"dur"`
+			TID  int             `json:"tid"`
+			Args json.RawMessage `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &tf); err != nil {
@@ -326,11 +354,19 @@ func TestCLIAnalyzeTraceAndSlowest(t *testing.T) {
 	if len(tf.TraceEvents) < 4 {
 		t.Fatalf("trace has only %d events", len(tf.TraceEvents))
 	}
-	for _, ev := range tf.TraceEvents {
-		if ev.Ph != "X" || ev.Name == "" {
-			t.Fatalf("malformed event %+v", ev)
+	var shape strings.Builder
+	for i, ev := range tf.TraceEvents {
+		switch {
+		case ev.Name == "" || ev.Ph != "X":
+			t.Fatalf("event %d: name %q phase %q, want a named \"X\" event", i, ev.Name, ev.Ph)
+		case ev.TS == nil || *ev.TS < 0 || ev.Dur == nil || *ev.Dur < 0:
+			t.Fatalf("event %d (%s): missing or negative ts or dur", i, ev.Name)
+		case ev.TID < 1:
+			t.Fatalf("event %d (%s): tid %d, want >= 1", i, ev.Name, ev.TID)
 		}
+		fmt.Fprintf(&shape, "%s %s\n", ev.Name, ev.Args)
 	}
+	return shape.String()
 }
 
 // TestCLIAnalyzeTracingDoesNotChangeOutput is the acceptance criterion:

@@ -76,39 +76,51 @@ import (
 	"repro/internal/router"
 	"repro/internal/server"
 	"repro/internal/store/findex"
+	"repro/pkg/api"
 )
 
 func main() {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	log.SetPrefix("secmetricd: ")
-	if err := run(); err != nil {
+	// Bound before anything else runs, so a signal that arrives while the
+	// daemon trains, opens -db or starts serving cancels run's context and
+	// drains, instead of ending the process with -db unclosed. Once the
+	// first signal lands, a second one ends the process at once.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	if err := run(ctx, os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run parses args and serves until ctx is canceled, then drains.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("secmetricd", flag.ContinueOnError)
 	var (
-		addr         = flag.String("addr", ":8321", "listen address (host:port; port 0 picks an ephemeral port)")
-		addrFile     = flag.String("addr-file", "", "write the bound address to this file after listening (for ephemeral ports)")
-		modelDir     = flag.String("model-dir", "", "directory of *.json and *.bin models, each registered under its basename without the extension")
-		trainDefault = flag.Bool("train-default", false, "train a logistic model on the built-in corpus when no model source is given")
-		workers      = flag.Int("workers", 0, "max concurrent analyses (0 = all cores)")
-		queue        = flag.Int("queue", 64, "max admitted requests waiting for a worker; overflow is rejected with 429")
-		reqTimeout   = flag.Duration("request-timeout", 2*time.Minute, "hard per-request deadline; requests may tighten it via timeout_ms")
-		jobs         = flag.Int("jobs", 0, "per-request extraction pool width (0 = all cores)")
-		fileTimeout  = flag.Duration("file-timeout", 0, "per-file deep-analysis deadline (0 = unbounded)")
-		cacheDir     = flag.String("cache", "", "persistent feature-cache directory shared by all requests (empty = in-memory)")
-		dbPath       = flag.String("db", "", "findings-history database; records score/compare/rank runs and enables /v1/query (empty = disabled)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
-		maxBody      = flag.Int64("max-body-bytes", server.DefaultMaxBodyBytes, "largest accepted request body in bytes; oversized bodies are rejected with 413")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
-		maxSessions  = flag.Int("sessions", server.DefaultMaxSessions, "max live /v1/delta repo sessions; least-recently-used beyond this are evicted")
-		sessionTTL   = flag.Duration("session-ttl", server.DefaultSessionTTL, "evict /v1/delta sessions idle longer than this")
-		route        = flag.String("route", "", "run as a shard router over this comma-separated backend URL list instead of serving analyses")
-		healthIvl    = flag.Duration("health-interval", router.DefaultHealthInterval, "router mode: interval between active backend health probes")
+		addr         = fs.String("addr", ":8321", "listen address (host:port; port 0 picks an ephemeral port)")
+		addrFile     = fs.String("addr-file", "", "write the bound address to this file after listening (for ephemeral ports)")
+		modelDir     = fs.String("model-dir", "", "directory of *.json and *.bin models, each registered under its basename without the extension")
+		trainDefault = fs.Bool("train-default", false, "train a logistic model on the built-in corpus when no model source is given")
+		workers      = fs.Int("workers", 0, "max concurrent analyses (0 = all cores)")
+		queue        = fs.Int("queue", 64, "max admitted requests waiting for a worker; overflow is rejected with 429")
+		reqTimeout   = fs.Duration("request-timeout", 2*time.Minute, "hard per-request deadline; requests may tighten it via timeout_ms")
+		jobs         = fs.Int("jobs", 0, "per-request extraction pool width (0 = all cores)")
+		fileTimeout  = fs.Duration("file-timeout", 0, "per-file deep-analysis deadline (0 = unbounded)")
+		cacheDir     = fs.String("cache", "", "persistent feature-cache directory shared by all requests (empty = in-memory)")
+		dbPath       = fs.String("db", "", "findings-history database; records score/compare/rank runs and enables /v1/query (empty = disabled)")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for in-flight requests")
+		maxBody      = fs.Int64("max-body-bytes", api.DefaultMaxBodyBytes, "largest accepted request body in bytes; oversized bodies are rejected with 413")
+		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on this separate address (empty = disabled)")
+		maxSessions  = fs.Int("sessions", server.DefaultMaxSessions, "max live /v1/delta repo sessions; least-recently-used beyond this are evicted")
+		sessionTTL   = fs.Duration("session-ttl", server.DefaultSessionTTL, "evict /v1/delta sessions idle longer than this")
+		route        = fs.String("route", "", "run as a shard router over this comma-separated backend URL list instead of serving analyses")
+		healthIvl    = fs.Duration("health-interval", router.DefaultHealthInterval, "router mode: interval between active backend health probes")
 	)
 	modelFiles := map[string]string{}
-	flag.Func("model", "model file to serve, repeatable; `path` or NAME=PATH (name defaults to the basename without .json or .bin)", func(v string) error {
+	fs.Func("model", "model file to serve, repeatable; `path` or NAME=PATH (name defaults to the basename without .json or .bin)", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")
 		if !ok {
 			path = v
@@ -123,7 +135,9 @@ func run() error {
 		modelFiles[name] = path
 		return nil
 	})
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *route != "" {
 		// Router mode: no models, no cache, no history — just the ring.
@@ -137,7 +151,7 @@ func run() error {
 		}
 		defer rt.Close()
 		log.Printf("routing across %d backend(s): %s", len(rt.Backends()), strings.Join(rt.Backends(), ", "))
-		return serveAndDrain(rt.Handler(), *addr, *addrFile, *drainTimeout)
+		return serveAndDrain(ctx, rt.Handler(), *addr, *addrFile, *drainTimeout)
 	}
 
 	cache, err := featcache.Open(*cacheDir)
@@ -176,9 +190,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		m, err := secmetric.Train(c, secmetric.TrainConfig{Kind: secmetric.KindLogistic, Folds: 5, Seed: 17, Jobs: *jobs})
+		m, err := secmetric.TrainContext(ctx, c, secmetric.TrainConfig{Kind: secmetric.KindLogistic, Folds: 5, Seed: 17, Jobs: *jobs})
 		if err != nil {
-			return err
+			return fmt.Errorf("train the default model: %w", err)
 		}
 		reg.Register("default", m)
 		log.Printf("trained and registered model %q", "default")
@@ -214,13 +228,14 @@ func run() error {
 		}()
 	}
 
-	return serveAndDrain(srv.Handler(), *addr, *addrFile, *drainTimeout)
+	return serveAndDrain(ctx, srv.Handler(), *addr, *addrFile, *drainTimeout)
 }
 
 // serveAndDrain runs one hardened HTTP server (daemon or router mode)
-// until SIGINT/SIGTERM, then drains: the listener closes, in-flight
-// requests finish bounded by drainTimeout, and the process exits cleanly.
-func serveAndDrain(h http.Handler, addr, addrFile string, drainTimeout time.Duration) error {
+// until ctx is canceled (SIGINT/SIGTERM in main), then drains: the
+// listener closes, in-flight requests finish bounded by drainTimeout, and
+// it returns nil.
+func serveAndDrain(ctx context.Context, h http.Handler, addr, addrFile string, drainTimeout time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -242,14 +257,11 @@ func serveAndDrain(h http.Handler, addr, addrFile string, drainTimeout time.Dura
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		return err // listener failed before any signal
 	case <-ctx.Done():
 	}
-	stop()
 	log.Printf("signal received; draining in-flight requests (up to %v)...", drainTimeout)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()

@@ -81,6 +81,12 @@ func TestRankJobsParity(t *testing.T) {
 		f.Path = f.Path + string(rune('a'+i))
 		tree.Files = append(tree.Files, f)
 	}
+	// The first file is the largest, so at widths above 1 the replicas
+	// finish before it: the bytes agree only because each file's
+	// functions keep their file's place, not their completion order.
+	for k := 0; k < 40; k++ {
+		tree.Files[0].Content += fmt.Sprintf("int pad%d(int x) { int y = recv(x); if (x > %d) { strcpy(y, x); } return y; }\n", k, k)
+	}
 	enc := func(r *Ranking) string {
 		b, err := json.Marshal(r)
 		if err != nil {

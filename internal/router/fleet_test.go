@@ -4,7 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
+	"net"
+	"net/http"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -40,20 +41,111 @@ func testModel(t *testing.T) *secmetric.Model {
 	return model
 }
 
-// startDaemon serves one in-process secmetricd recording into its own
-// findings history, as a shard started with -db does.
-func startDaemon(t *testing.T) *httptest.Server {
-	t.Helper()
-	reg := server.NewRegistry("", nil)
-	reg.Register("default", testModel(t))
-	hist, err := findex.Open(filepath.Join(t.TempDir(), "findings.db"))
-	if err != nil {
-		t.Fatal(err)
+// shard is one in-process secmetricd backend recording into its own -db
+// files. kill stops it the way SIGKILL looks from outside, and start,
+// called again, brings it back from the same files on the same address.
+type shard struct {
+	t      *testing.T
+	addr   string
+	dbPath string
+	hs     *http.Server
+	hist   *findex.Store
+	dead   bool
+
+	mu      sync.Mutex
+	handler http.Handler
+	hold    bool          // park new analysis requests until the kill
+	held    int           // requests parked since hold was set
+	killed  chan struct{} // closed by kill
+}
+
+func newShard(t *testing.T) *shard {
+	s := &shard{t: t, addr: "127.0.0.1:0", dbPath: filepath.Join(t.TempDir(), "findings.db")}
+	s.start()
+	t.Cleanup(func() {
+		if !s.dead {
+			s.hs.Close()
+			s.hist.Close()
+		}
+	})
+	return s
+}
+
+func (s *shard) url() string { return "http://" + s.addr }
+
+// start opens the store (replaying its log after a kill) and serves a
+// fresh daemon on s.addr: a restarted process keeps its files and its
+// address, and nothing held in memory.
+func (s *shard) start() {
+	s.t.Helper()
+	// A restart binds the address its killed listener held; retry briefly
+	// in case the port is not free again yet.
+	var ln net.Listener
+	var err error
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if ln, err = net.Listen("tcp", s.addr); err == nil || time.Now().After(deadline) {
+			break
+		}
 	}
-	t.Cleanup(func() { hist.Close() })
-	ts := httptest.NewServer(server.New(reg, server.Config{Workers: 2, QueueDepth: 16, History: hist}).Handler())
-	t.Cleanup(ts.Close)
-	return ts
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	s.addr = ln.Addr().String()
+	if s.hist, err = findex.Open(s.dbPath); err != nil {
+		s.t.Fatal(err)
+	}
+	reg := server.NewRegistry("", nil)
+	reg.Register("default", testModel(s.t))
+	s.mu.Lock()
+	s.handler = server.New(reg, server.Config{Workers: 2, QueueDepth: 16, History: s.hist}).Handler()
+	s.hold, s.held, s.killed = false, 0, make(chan struct{})
+	s.mu.Unlock()
+	s.hs = &http.Server{Handler: s}
+	s.dead = false
+	go s.hs.Serve(ln)
+}
+
+func (s *shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	h, park, killed := s.handler, s.hold && r.Method == http.MethodPost, s.killed
+	if park {
+		s.held++
+	}
+	s.mu.Unlock()
+	if park {
+		// The request was received and is never answered: the process
+		// dies holding it.
+		<-killed
+		panic(http.ErrAbortHandler)
+	}
+	h.ServeHTTP(w, r)
+}
+
+// holdRequests parks every analysis request that arrives from now on, and
+// heldRequests counts them.
+func (s *shard) holdRequests() {
+	s.mu.Lock()
+	s.hold = true
+	s.mu.Unlock()
+}
+
+func (s *shard) heldRequests() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.held
+}
+
+// kill closes the listener and every client connection at once, so
+// requests in flight get no answer, and abandons the store without its
+// closing checkpoint: only what it committed survives.
+func (s *shard) kill() {
+	s.t.Helper()
+	s.hs.Close()
+	close(s.killed)
+	if err := s.hist.DB().Abandon(); err != nil {
+		s.t.Fatal(err)
+	}
+	s.dead = true
 }
 
 // fleet starts n daemon shards behind a router and returns a client of the
@@ -62,7 +154,7 @@ func fleet(t *testing.T, n int) (*client.Client, []string) {
 	t.Helper()
 	urls := make([]string, n)
 	for i := range urls {
-		urls[i] = startDaemon(t).URL
+		urls[i] = newShard(t).url()
 	}
 	_, ts := newTestRouter(t, Config{Backends: urls, HealthInterval: time.Hour})
 	return client.New(ts.URL), urls
@@ -110,7 +202,7 @@ func canonRuns(t *testing.T, runs []secmetric.HistoryRun) string {
 // query cross the router.
 func TestFleetMatchesSolo(t *testing.T) {
 	ctx := context.Background()
-	solo := client.New(startDaemon(t).URL)
+	solo := client.New(newShard(t).url())
 	fl, _ := fleet(t, 3)
 	base, err := client.TreeFromDir("../../examples/vulnapp")
 	if err != nil {
@@ -204,7 +296,7 @@ func TestUnnamedTreeHistoryFollowsItsShard(t *testing.T) {
 	ctx := context.Background()
 	var urls []string
 	for attempt := 0; ; attempt++ {
-		urls = []string{startDaemon(t).URL, startDaemon(t).URL}
+		urls = []string{newShard(t).url(), newShard(t).url()}
 		r := buildRing(urls)
 		home := func(key string) (b int) {
 			r.walk(key, func(i int) bool { b = i; return true })

@@ -25,7 +25,8 @@ type Config struct {
 	// <= 0 uses 2 seconds.
 	HealthInterval time.Duration
 	// MaxBodyBytes caps a request body (the router buffers the body to
-	// extract the shard key); <= 0 uses the daemon's 32 MiB default.
+	// extract the shard key); <= 0 uses api.DefaultMaxBodyBytes, as the
+	// daemon does.
 	MaxBodyBytes int64
 }
 
@@ -76,7 +77,7 @@ func New(cfg Config) (*Router, error) {
 		cfg.HealthInterval = DefaultHealthInterval
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
+		cfg.MaxBodyBytes = api.DefaultMaxBodyBytes
 	}
 	addrs := make([]string, len(cfg.Backends))
 	seen := make(map[string]int, len(cfg.Backends))

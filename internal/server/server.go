@@ -70,7 +70,7 @@ type Config struct {
 	Cache *featcache.Cache
 	// MaxBodyBytes caps a request body's size; a client that streams more
 	// is cut off and answered 413 instead of growing the daemon's heap
-	// without bound. <= 0 uses 32 MiB.
+	// without bound. <= 0 uses api.DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// MaxSessions bounds the per-repo incremental session registry behind
 	// /v1/delta; the least-recently-used session is evicted beyond it.
@@ -91,11 +91,6 @@ const (
 	DefaultMaxSessions = 64
 	DefaultSessionTTL  = time.Hour
 )
-
-// DefaultMaxBodyBytes is the request-body cap applied when
-// Config.MaxBodyBytes is unset: 32 MiB, roomy for a JSON-encoded source
-// tree, far below anything that could OOM the process.
-const DefaultMaxBodyBytes = 32 << 20
 
 // streamHeartbeat is the idle interval between keepalive records on the
 // NDJSON streaming endpoints.
@@ -145,7 +140,7 @@ func New(reg *Registry, cfg Config) *Server {
 		cfg.RequestTimeout = 2 * time.Minute
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
+		cfg.MaxBodyBytes = api.DefaultMaxBodyBytes
 	}
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions

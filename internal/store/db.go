@@ -531,8 +531,8 @@ func (db *DB) Close() error {
 
 // Abandon drops the file handles without checkpointing or syncing —
 // simulating a process kill. Only the WAL and page file contents already
-// durable survive, exactly as after a real crash. Tests and the crash
-// smoke use it; production code calls Close.
+// durable survive, exactly as after a real crash. The crash-recovery tests
+// use it; production code calls Close.
 func (db *DB) Abandon() error {
 	db.mu.Lock()
 	db.closed = true

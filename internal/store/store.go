@@ -80,7 +80,7 @@ var (
 	// ErrReleased is returned when a released Snapshot is read.
 	ErrReleased = errors.New("store: snapshot already released")
 	// ErrCrashInjected is the injected WAL failure the crash-recovery
-	// torture tests (and cmd/storesmoke) trigger via Options.CrashWALBytes.
+	// tests (here and in findex) trigger via Options.CrashWALBytes.
 	ErrCrashInjected = errors.New("store: injected WAL crash")
 )
 

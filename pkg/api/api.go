@@ -298,6 +298,12 @@ type Error struct {
 	Error string `json:"error"`
 }
 
+// DefaultMaxBodyBytes is the request-body cap the daemon and the shard
+// router apply when configured with none: 32 MiB, roomy for a JSON-encoded
+// source tree, far below anything that could OOM the process. A larger body
+// is answered 413 with CodeBodyTooLarge.
+const DefaultMaxBodyBytes = 32 << 20
+
 // Stable error codes.
 const (
 	CodeBadRequest   = "bad_request"
