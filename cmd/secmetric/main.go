@@ -22,8 +22,9 @@
 // deep-analyzed once.
 //
 // With -history db, findings and analyze append the run's CWE-tagged
-// findings to the embedded time-series database at that path; `secmetric
-// query` searches it with the internal/store query language, e.g.
+// findings to the embedded time-series database at that path, creating it
+// if needed; `secmetric query` searches an existing one (it refuses a path
+// with no database) with the internal/store query language, e.g.
 //
 //	secmetric query -db findings.db "cwe121 > 0 AND severity >= high ORDER BY score DESC LIMIT 20"
 //
@@ -224,6 +225,14 @@ func cmdQuery(args []string) error {
 	src := ""
 	if fs.NArg() == 1 {
 		src = fs.Arg(0)
+	}
+	// findex.Open creates what it opens; a query must not leave a new,
+	// empty history at a mistyped path.
+	if _, err := os.Stat(*dbPath); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("query: no findings history at %s", *dbPath)
+		}
+		return err
 	}
 	s, err := findex.Open(*dbPath)
 	if err != nil {

@@ -542,6 +542,24 @@ func TestCLIHistoryAndQuery(t *testing.T) {
 	}
 }
 
+// A query reads a history and never creates one: an absent -db path is an
+// error naming it, and nothing is left behind.
+func TestCLIQueryMissingDB(t *testing.T) {
+	dir := t.TempDir()
+	db := filepath.Join(dir, "typo.db")
+	err := run(context.Background(), []string{"query", "-db", db, "cwe121 > 0"})
+	if err == nil || !strings.Contains(err.Error(), db) {
+		t.Fatalf("query of an absent -db: err = %v, want an error naming %s", err, db)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("query left %d file(s) behind, first %s", len(entries), entries[0].Name())
+	}
+}
+
 // canonJSON re-marshals JSON text or a value with sorted keys and fixed
 // indentation, so two are byte-identical iff they are equal.
 func canonJSON(t *testing.T, v any) string {

@@ -72,7 +72,7 @@ func main() {
 
 	// Taint analysis: which attacker-controlled values reach sinks?
 	fmt.Println("\n== Taint analysis ==")
-	taint := dataflow.AnalyzeTaint(fn, dataflow.DefaultTaintConfig())
+	taint := dataflow.AnalyzeTaint(fn)
 	for _, f := range taint.Findings {
 		fmt.Printf("  line %d: tainted argument %d reaches sink %s\n", f.Line, f.Arg, f.Sink)
 	}

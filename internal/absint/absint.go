@@ -18,10 +18,9 @@ import (
 
 // Config controls the analysis.
 type Config struct {
-	// InputRange is assumed for parameters and source-function results.
+	// InputRange is assumed for parameters and the results of input
+	// sources (ir.IsInputSource).
 	InputRange symexec.Interval
-	// Sources are functions whose results are fresh inputs.
-	Sources map[string]bool
 	// WidenAfter is the number of joins at a block before widening kicks in.
 	WidenAfter int
 }
@@ -30,10 +29,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		InputRange: symexec.Interval{Lo: 0, Hi: 255},
-		Sources: map[string]bool{
-			"read_input": true, "recv": true, "read": true, "getenv": true,
-			"fgets": true, "scanf": true,
-		},
 		WidenAfter: 3,
 	}
 }
@@ -283,7 +278,7 @@ func step(in ir.Instr, st State, cfg Config, warn func(Warning)) {
 		}
 	case *ir.Call:
 		if x.Dst != nil {
-			if cfg.Sources[x.Name] {
+			if ir.IsInputSource(x.Name) {
 				st[x.Dst.String()] = cfg.InputRange
 			} else {
 				st[x.Dst.String()] = symexec.Top()

@@ -9,30 +9,12 @@ import (
 
 // This file implements the interprocedural half of the taint engine: a
 // summary-based, bottom-up whole-program analysis. Each function is analyzed
-// once per fixpoint round with an origin lattice (which of my parameters, or
+// once per fixpoint round with the origin solver (which of my parameters, or
 // an internal source, does this value depend on?); the result is a Summary.
 // Summaries propagate over the SCC condensation of the call graph in
 // callee-before-caller order, so a network read in main reaching a
 // strcpy-style sink several calls deep is finally counted — the flow the
 // intraprocedural AnalyzeTaint stops at the function boundary for.
-
-// InterConfig configures the whole-program analysis. The embedded
-// TaintConfig supplies the source/sink/sanitizer tables; its TaintParams
-// field is ignored here (parameter taint is a per-root decision, not a
-// per-function one — tainting every function's parameters would recount one
-// flow once per frame on its call chain).
-type InterConfig struct {
-	TaintConfig
-	// TaintRootParams treats the parameters of call-graph roots (functions
-	// no defined function calls, plus main) as attacker-controlled, the
-	// "inputs exposed to external attackers" convention.
-	TaintRootParams bool
-}
-
-// DefaultInterConfig mirrors DefaultTaintConfig with root-parameter taint.
-func DefaultInterConfig() InterConfig {
-	return InterConfig{TaintConfig: DefaultTaintConfig(), TaintRootParams: true}
-}
 
 // SinkReach is one sink transitively reachable from a summarized function.
 // Line is the call-site line inside the summarized function: the sink call
@@ -81,21 +63,6 @@ type InterResult struct {
 	// MaxChain is the number of functions on the longest source-to-sink
 	// chain observed (max Depth + 1), 0 when there are no findings.
 	MaxChain int
-}
-
-// originSet is the taint lattice element: a value depends on some subset of
-// the current function's parameters and/or on an internal source. Parameters
-// beyond the 63rd are not tracked (conservatively clean); MiniC code never
-// gets near that, and the lint battery flags >6 parameters long before.
-type originSet struct {
-	src    bool
-	params uint64
-}
-
-func (o originSet) empty() bool { return !o.src && o.params == 0 }
-
-func (o originSet) union(p originSet) originSet {
-	return originSet{src: o.src || p.src, params: o.params | p.params}
 }
 
 // sinkKey dedups sink reaches per summarized function; depth is kept
@@ -202,175 +169,53 @@ func (sb *summaryBuilder) finish(name string) Summary {
 	return s
 }
 
-// analyzeOrigins runs the origin-lattice dataflow over one function against
-// the current summary environment and returns the function's new summary.
-func analyzeOrigins(f *ir.Func, cfg InterConfig, sums map[string]*summaryBuilder) *summaryBuilder {
+// analyzeOrigins runs the origin solver over one function against the
+// current summary environment, parameter i starting with origin bit i, and
+// returns the function's new summary.
+func analyzeOrigins(f *ir.Func, sums map[string]*summaryBuilder) *summaryBuilder {
 	sb := newSummaryBuilder(len(f.Params))
-
-	entry := map[string]originSet{}
+	entry := originState{}
 	for i, p := range f.Params {
 		if i < 64 {
 			entry[p] = originSet{params: 1 << uint(i)}
 		}
 	}
-
-	originOf := func(v ir.Value, t map[string]originSet) originSet {
-		switch x := v.(type) {
-		case ir.Const:
-			return originSet{}
-		case ir.Var:
-			return t[x.Name]
-		case ir.Temp:
-			return t[x.String()]
-		}
-		return originSet{}
-	}
-	set := func(t map[string]originSet, d ir.Dest, o originSet) {
-		if d == nil {
-			return
-		}
-		if o.empty() {
-			delete(t, d.String())
-		} else {
-			t[d.String()] = o
-		}
-	}
-
-	// transfer applies one block to a state; record is non-nil only on the
-	// final pass, when sink reaches are written into the summary.
-	transfer := func(b *ir.Block, t map[string]originSet, record bool) {
-		for _, instr := range b.Instrs {
-			switch x := instr.(type) {
-			case *ir.Assign:
-				set(t, x.Dst, originOf(x.Src, t))
-			case *ir.BinOp:
-				set(t, x.Dst, originOf(x.L, t).union(originOf(x.R, t)))
-			case *ir.UnOp:
-				set(t, x.Dst, originOf(x.X, t))
-			case *ir.ArrayLoad:
-				set(t, x.Dst, t[x.Array].union(originOf(x.Index, t)))
-			case *ir.ArrayStore:
-				o := originOf(x.Src, t).union(originOf(x.Index, t))
-				if !o.empty() {
-					t[x.Array] = t[x.Array].union(o) // weak update: arrays only gain taint
-				}
-			case *ir.Call:
-				var argUnion originSet
-				args := make([]originSet, len(x.Args))
-				for i, a := range x.Args {
-					args[i] = originOf(a, t)
-					argUnion = argUnion.union(args[i])
-				}
-				if callee, ok := sums[x.Name]; ok {
-					// Defined function: apply its summary.
-					if record {
-						for i, ao := range args {
-							if ao.empty() || i >= len(callee.paramSinks) {
-								continue
-							}
-							for k, depth := range callee.paramSinks[i] {
-								sb.addReach(ao, sinkKey{sink: k.sink, line: x.Line}, depth+1)
-							}
-						}
-					}
-					ret := originSet{src: callee.returnAlways}
-					for i, ao := range args {
-						if i < 64 && callee.returnFromParam&(1<<uint(i)) != 0 {
-							ret = ret.union(ao)
-						}
-					}
-					set(t, x.Dst, ret)
+	solveOrigins(f, entry, sums, originEvents{
+		sink: func(c *ir.Call, _ int, o originSet) {
+			sb.addReach(o, sinkKey{sink: c.Name, line: c.Line}, 0)
+		},
+		call: func(c *ir.Call, callee *summaryBuilder, args []originSet) {
+			for i, ao := range args {
+				if ao.empty() || i >= len(callee.paramSinks) {
 					continue
 				}
-				// External callee: the flat source/sink/sanitizer tables.
-				if record && cfg.Sinks[x.Name] {
-					for _, ao := range args {
-						if !ao.empty() {
-							sb.addReach(ao, sinkKey{sink: x.Name, line: x.Line}, 0)
-						}
-					}
-				}
-				switch {
-				case cfg.Sources[x.Name]:
-					set(t, x.Dst, originSet{src: true})
-				case cfg.Sanitizers[x.Name]:
-					set(t, x.Dst, originSet{})
-				default:
-					// Unknown callee: result taint follows argument taint.
-					set(t, x.Dst, argUnion)
+				for k, depth := range callee.paramSinks[i] {
+					sb.addReach(ao, sinkKey{sink: k.sink, line: c.Line}, depth+1)
 				}
 			}
-		}
-	}
-
-	in := map[*ir.Block]map[string]originSet{}
-	out := map[*ir.Block]map[string]originSet{}
-	for _, b := range f.Blocks {
-		in[b] = map[string]originSet{}
-		out[b] = map[string]originSet{}
-	}
-	joinInto := func(dst map[string]originSet, src map[string]originSet) {
-		for k, o := range src {
-			dst[k] = dst[k].union(o)
-		}
-	}
-	statesEq := func(a, b map[string]originSet) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k, o := range a {
-			if b[k] != o {
-				return false
+		},
+		exit: func(b *ir.Block, t originState) {
+			if ret, isRet := b.Term.(*ir.Ret); isRet && ret.Value != nil {
+				o := t.of(ret.Value)
+				sb.returnAlways = sb.returnAlways || o.src
+				sb.returnFromParam |= o.params
 			}
-		}
-		return true
-	}
-
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range f.Blocks {
-			newIn := map[string]originSet{}
-			if b == f.Entry() {
-				joinInto(newIn, entry)
-			}
-			for _, p := range b.Preds {
-				joinInto(newIn, out[p])
-			}
-			newOut := make(map[string]originSet, len(newIn))
-			joinInto(newOut, newIn)
-			transfer(b, newOut, false)
-			if !statesEq(newIn, in[b]) || !statesEq(newOut, out[b]) {
-				in[b] = newIn
-				out[b] = newOut
-				changed = true
-			}
-		}
-	}
-
-	// Final pass with converged in-sets: record sink reaches and return-value
-	// origins.
-	for _, b := range f.Blocks {
-		t := make(map[string]originSet, len(in[b]))
-		joinInto(t, in[b])
-		transfer(b, t, true)
-		if ret, isRet := b.Term.(*ir.Ret); isRet && ret.Value != nil {
-			o := originOf(ret.Value, t)
-			sb.returnAlways = sb.returnAlways || o.src
-			sb.returnFromParam |= o.params
-		}
-	}
+		},
+	})
 	return sb
 }
 
 // AnalyzeProgramTaint runs the whole-program taint analysis: summaries are
 // computed bottom-up over the SCC condensation of the call graph (iterating
 // to a fixpoint inside recursive components), then findings are read off the
-// converged summaries — every function's source-fed sinks, plus the
-// root-parameter flows when cfg.TaintRootParams is set. The result is fully
+// converged summaries — every function's source-fed sinks, plus the flows
+// from the parameters of call-graph roots (functions no defined function
+// calls, plus main), the "inputs exposed to external attackers"
+// convention. Interior parameters are not sources: tainting them would
+// recount one flow once per frame on its call chain. The result is fully
 // deterministic: program order drives every iteration and findings come out
 // sorted by (function, line, sink, depth).
-func AnalyzeProgramTaint(p *ir.Program, cfg InterConfig) *InterResult {
+func AnalyzeProgramTaint(p *ir.Program) *InterResult {
 	g := callgraph.Build(p)
 	funcs := map[string]*ir.Func{}
 	for _, f := range p.Funcs {
@@ -387,7 +232,7 @@ func AnalyzeProgramTaint(p *ir.Program, cfg InterConfig) *InterResult {
 		for round := 0; ; round++ {
 			changed := false
 			for _, fn := range comp {
-				next := analyzeOrigins(funcs[fn], cfg, sums)
+				next := analyzeOrigins(funcs[fn], sums)
 				if !next.equal(sums[fn]) {
 					sums[fn] = next
 					changed = true
@@ -408,13 +253,11 @@ func AnalyzeProgramTaint(p *ir.Program, cfg InterConfig) *InterResult {
 	}
 
 	roots := map[string]bool{}
-	if cfg.TaintRootParams {
-		for _, r := range g.Roots() {
-			roots[r] = true
-		}
-		if _, hasMain := funcs["main"]; hasMain {
-			roots["main"] = true
-		}
+	for _, r := range g.Roots() {
+		roots[r] = true
+	}
+	if _, hasMain := funcs["main"]; hasMain {
+		roots["main"] = true
 	}
 
 	type findingKey struct {
@@ -467,13 +310,4 @@ func AnalyzeProgramTaint(p *ir.Program, cfg InterConfig) *InterResult {
 		return a.Depth < b.Depth
 	})
 	return res
-}
-
-// CountInterprocSinks analyzes the program with the default interprocedural
-// configuration and returns the finding count and the longest source-to-sink
-// call chain — the "interproc_tainted_sinks" and "taint_path_depth_max"
-// features.
-func CountInterprocSinks(p *ir.Program) (count, maxChain int) {
-	res := AnalyzeProgramTaint(p, DefaultInterConfig())
-	return len(res.Findings), res.MaxChain
 }

@@ -9,7 +9,7 @@ import (
 
 func interproc(t *testing.T, src string) *InterResult {
 	t.Helper()
-	return AnalyzeProgramTaint(ir.MustLowerSource(src), DefaultInterConfig())
+	return AnalyzeProgramTaint(ir.MustLowerSource(src))
 }
 
 // The canonical flow the intraprocedural analysis misses: a source wrapped
@@ -28,17 +28,10 @@ int handle(void) {
 }`
 
 func TestInterprocWrappedSourceFound(t *testing.T) {
-	// Precondition: the intraprocedural engine misses this program entirely.
-	p := ir.MustLowerSource(wrappedSourceSrc)
-	cfg := DefaultTaintConfig()
-	cfg.TaintParams = false
-	for _, f := range p.Funcs {
-		if n := len(AnalyzeTaint(f, cfg).Findings); n != 0 {
-			t.Fatalf("intraprocedural engine unexpectedly found %d findings in %s", n, f.Name)
-		}
-	}
-	if got := CountTaintedSinks(p); got != 0 {
-		t.Fatalf("CountTaintedSinks = %d, want 0 (no param flows here)", got)
+	// Precondition: the intraprocedural engine misses this program entirely
+	// (neither function has a parameter to seed).
+	if got := CountTaintedSinks(ir.MustLowerSource(wrappedSourceSrc)); got != 0 {
+		t.Fatalf("CountTaintedSinks = %d, want 0", got)
 	}
 
 	res := interproc(t, wrappedSourceSrc)
@@ -199,23 +192,13 @@ int pong(int v, int n) {
 	}
 }
 
-func TestInterprocNoRootParamTaint(t *testing.T) {
-	cfg := DefaultInterConfig()
-	cfg.TaintRootParams = false
-	res := AnalyzeProgramTaint(ir.MustLowerSource(`
+// A root's parameters are attacker-controlled.
+func TestInterprocRootParamTaint(t *testing.T) {
+	res := interproc(t, `
 int main(int argc) {
 	system(argc);
 	return 0;
-}`), cfg)
-	if len(res.Findings) != 0 {
-		t.Fatalf("root param flagged with TaintRootParams off: %+v", res.Findings)
-	}
-	cfg.TaintRootParams = true
-	res = AnalyzeProgramTaint(ir.MustLowerSource(`
-int main(int argc) {
-	system(argc);
-	return 0;
-}`), cfg)
+}`)
 	if len(res.Findings) != 1 {
 		t.Fatalf("root param flow missed: %+v", res.Findings)
 	}
@@ -251,14 +234,16 @@ func TestInterprocDeterministic(t *testing.T) {
 	}
 }
 
+// The finding count and MaxChain are the interproc_tainted_sinks and
+// taint_path_depth_max features.
 func TestCountInterprocSinks(t *testing.T) {
-	count, maxChain := CountInterprocSinks(ir.MustLowerSource(wrappedSourceSrc))
-	if count != 1 || maxChain != 1 {
-		t.Fatalf("CountInterprocSinks = (%d, %d), want (1, 1)", count, maxChain)
+	res := interproc(t, wrappedSourceSrc)
+	if len(res.Findings) != 1 || res.MaxChain != 1 {
+		t.Fatalf("wrapped source: %d findings, MaxChain %d, want (1, 1)", len(res.Findings), res.MaxChain)
 	}
-	count, maxChain = CountInterprocSinks(ir.MustLowerSource(deepChainSrc))
-	if count < 1 || maxChain != 4 {
-		t.Fatalf("CountInterprocSinks = (%d, %d), want (>=1, 4)", count, maxChain)
+	res = interproc(t, deepChainSrc)
+	if len(res.Findings) < 1 || res.MaxChain != 4 {
+		t.Fatalf("deep chain: %d findings, MaxChain %d, want (>=1, 4)", len(res.Findings), res.MaxChain)
 	}
 }
 

@@ -1,6 +1,9 @@
 package dataflow
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -9,7 +12,7 @@ import (
 func taint(t *testing.T, src string) TaintResult {
 	t.Helper()
 	f := ir.MustLowerSource(src).Funcs[0]
-	return AnalyzeTaint(f, DefaultTaintConfig())
+	return AnalyzeTaint(f)
 }
 
 func TestTaintDirectFlow(t *testing.T) {
@@ -48,18 +51,6 @@ int handler(int request) {
 }`)
 	if len(res.Findings) != 1 {
 		t.Fatalf("param taint findings = %+v", res.Findings)
-	}
-	// With TaintParams off, no finding.
-	cfg := DefaultTaintConfig()
-	cfg.TaintParams = false
-	f := ir.MustLowerSource(`
-int handler(int request) {
-	system(request);
-	return 0;
-}`).Funcs[0]
-	res2 := AnalyzeTaint(f, cfg)
-	if len(res2.Findings) != 0 {
-		t.Fatalf("untainted params still flagged: %+v", res2.Findings)
 	}
 }
 
@@ -175,20 +166,46 @@ int f(void) {
 	}
 }
 
-func TestTaintedVarsAtExit(t *testing.T) {
-	res := taint(t, `
+// Every tainted argument of a sink call is its own finding, and
+// tainted_sinks counts each one.
+func TestTaintTwoTaintedArgs(t *testing.T) {
+	const src = `
 int f(void) {
-	int d = read_input();
-	return d;
-}`)
-	found := false
-	for _, v := range res.TaintedVars {
-		if v == "d" {
-			found = true
-		}
+	int a = read_input();
+	int b = recv(0);
+	memcpy(a, b);
+	return 0;
+}`
+	res := taint(t, src)
+	want := []TaintFinding{
+		{Func: "f", Sink: "memcpy", Line: 5, Arg: 0},
+		{Func: "f", Sink: "memcpy", Line: 5, Arg: 1},
 	}
-	if !found {
-		t.Fatalf("tainted vars = %v", res.TaintedVars)
+	if !reflect.DeepEqual(res.Findings, want) {
+		t.Fatalf("findings = %+v, want %+v", res.Findings, want)
+	}
+	if got := CountTaintedSinks(ir.MustLowerSource(src)); got != 2 {
+		t.Fatalf("CountTaintedSinks = %d, want 2", got)
+	}
+}
+
+// manyParamsSrc declares a function with more parameters than the origin
+// lattice has parameter bits; its last one reaches system.
+func manyParamsSrc(n int) string {
+	params := make([]string, n)
+	for i := range params {
+		params[i] = fmt.Sprintf("int p%d", i)
+	}
+	return fmt.Sprintf("int f(%s) {\n\tsystem(p%d);\n\treturn 0;\n}", strings.Join(params, ", "), n-1)
+}
+
+// Parameters are sources in the intraprocedural pass, not parameter bits,
+// so a parameter past the 64th is as tainted as the first.
+func TestTaintManyParams(t *testing.T) {
+	res := taint(t, manyParamsSrc(66))
+	want := []TaintFinding{{Func: "f", Sink: "system", Line: 2, Arg: 0}}
+	if !reflect.DeepEqual(res.Findings, want) {
+		t.Fatalf("findings = %+v, want %+v", res.Findings, want)
 	}
 }
 

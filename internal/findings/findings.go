@@ -118,16 +118,15 @@ type sinkRule struct {
 	sev  Severity
 }
 
-// SinkRules maps the default taint-sink table to weakness classes: unchecked
-// copies evidence stack smashing (CWE-121), spawning with attacker data
-// evidences OS command injection (CWE-78), attacker-controlled format
-// strings evidence CWE-134.
+// SinkRules maps each name in the taint sink table (dataflow.SinkNames) to
+// its weakness class: unchecked copies evidence stack smashing (CWE-121),
+// spawning with attacker data evidences OS command injection (CWE-78),
+// attacker-controlled format strings evidence CWE-134.
 var SinkRules = map[string]sinkRule{
 	"strcpy":    {"taint-unchecked-copy", 121, SevHigh},
 	"strcat":    {"taint-unchecked-copy", 121, SevHigh},
 	"sprintf":   {"taint-unchecked-copy", 121, SevHigh},
 	"memcpy":    {"taint-unchecked-copy", 121, SevHigh},
-	"gets":      {"taint-unchecked-copy", 121, SevHigh},
 	"system":    {"taint-spawn", 78, SevCritical},
 	"exec":      {"taint-spawn", 78, SevCritical},
 	"execve":    {"taint-spawn", 78, SevCritical},
@@ -244,14 +243,11 @@ func AnalyzeFile(f metrics.File) FileAnalysis {
 // addDeep appends the IR-based producers: interprocedural taint and the
 // abstract interpreter.
 func (fa *FileAnalysis) addDeep(path string, lowered *ir.Program) {
-	taint := dataflow.AnalyzeProgramTaint(lowered, dataflow.DefaultInterConfig())
+	taint := dataflow.AnalyzeProgramTaint(lowered)
 	fa.InterTaintSinks = len(taint.Findings)
 	fa.TaintMaxChain = taint.MaxChain
 	for _, tf := range taint.Findings {
-		r, ok := SinkRules[tf.Sink]
-		if !ok {
-			r = sinkRule{rule: "taint-sink", id: 0, sev: SevMedium}
-		}
+		r := SinkRules[tf.Sink]
 		msg := fmt.Sprintf("tainted data reaches %s in %s", tf.Sink, tf.Func)
 		if tf.Depth > 0 {
 			msg = fmt.Sprintf("tainted data reaches %s via %d call(s) from %s", tf.Sink, tf.Depth, tf.Func)

@@ -2,10 +2,12 @@ package findings
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/cwe"
+	"repro/internal/dataflow"
 	"repro/internal/lint"
 	"repro/internal/metrics"
 )
@@ -139,6 +141,19 @@ func TestEveryLintRuleHasMapping(t *testing.T) {
 		if _, ok := LintRules[r]; !ok {
 			t.Errorf("lint rule %q has no findings mapping", r)
 		}
+	}
+}
+
+// Every taint sink has a weakness class, and every mapped name is a sink
+// a taint finding can name.
+func TestEveryTaintSinkHasMapping(t *testing.T) {
+	var mapped []string
+	for sink := range SinkRules {
+		mapped = append(mapped, sink)
+	}
+	sort.Strings(mapped)
+	if sinks := dataflow.SinkNames(); !reflect.DeepEqual(mapped, sinks) {
+		t.Fatalf("SinkRules maps %v, the taint sink table holds %v", mapped, sinks)
 	}
 }
 

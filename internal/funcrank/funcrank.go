@@ -268,7 +268,7 @@ func deepFile(f metrics.File) (facts map[string]deepFacts, fileDegraded bool) {
 			}
 		}
 	}
-	taint := dataflow.AnalyzeProgramTaint(lowered, dataflow.DefaultInterConfig())
+	taint := dataflow.AnalyzeProgramTaint(lowered)
 	dup := make(map[string]int, len(lowered.Funcs))
 	for _, fn := range lowered.Funcs {
 		dup[fn.Name]++

@@ -18,15 +18,15 @@ import (
 type Config struct {
 	// MaxSteps caps executed instructions (guards infinite loops).
 	MaxSteps int
-	// Inputs supplies values for parameters and source-function results,
-	// consumed in order; when exhausted, ExternalValue supplies the rest.
+	// Inputs supplies values for parameters and the results of input
+	// sources (ir.IsInputSource), consumed in order; when exhausted,
+	// ExternalValue supplies the rest.
 	Inputs []int64
 	// ExternalValue produces results for external calls once Inputs runs
-	// dry. The call index is passed for deterministic variation.
+	// dry. The call index is passed for deterministic variation. An
+	// external call that is not an input source returns ExternalValue
+	// without consuming Inputs.
 	ExternalValue func(name string, callIndex int) int64
-	// Sources are treated as input-consuming functions; other external
-	// calls return ExternalValue but do not consume Inputs.
-	Sources map[string]bool
 }
 
 // DefaultConfig mirrors the symbolic executor's conventions.
@@ -35,10 +35,6 @@ func DefaultConfig() Config {
 		MaxSteps: 100000,
 		ExternalValue: func(name string, callIndex int) int64 {
 			return int64(callIndex%7) * 3 // arbitrary but deterministic
-		},
-		Sources: map[string]bool{
-			"read_input": true, "recv": true, "read": true, "getenv": true,
-			"fgets": true, "scanf": true,
 		},
 	}
 }
@@ -271,7 +267,7 @@ func (m *machine) step(in ir.Instr, env map[string]int64, depth int) bool {
 				return false
 			}
 			result = r
-		} else if m.cfg.Sources[x.Name] {
+		} else if ir.IsInputSource(x.Name) {
 			result = m.nextInput()
 		} else {
 			m.callIndex++

@@ -90,6 +90,19 @@ type Call struct {
 	Line int
 }
 
+// IsInputSource reports whether a call to name reads a fresh program input:
+// the calls whose results the symbolic executor, the abstract interpreter
+// and the interpreter draw from their input domain. The taint engine's
+// source table is wider (it adds gets, fread, recvfrom and parse_packet),
+// so the two are kept apart.
+func IsInputSource(name string) bool {
+	switch name {
+	case "read_input", "recv", "read", "getenv", "fgets", "scanf":
+		return true
+	}
+	return false
+}
+
 // ArrayLoad reads Dst = Array[Index].
 type ArrayLoad struct {
 	Dst   Dest

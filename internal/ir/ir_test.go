@@ -334,3 +334,19 @@ func TestFuncByNameMissing(t *testing.T) {
 		t.Fatal("found nonexistent function")
 	}
 }
+
+// The input sources are the six reads symexec, absint and interp draw
+// inputs from; the taint engine's extra sources are not among them, since
+// adding one would change feasible_paths and the dynamic features.
+func TestIsInputSource(t *testing.T) {
+	for _, name := range []string{"read_input", "recv", "read", "getenv", "fgets", "scanf"} {
+		if !IsInputSource(name) {
+			t.Errorf("IsInputSource(%q) = false", name)
+		}
+	}
+	for _, name := range []string{"gets", "fread", "recvfrom", "parse_packet", "system", "f", ""} {
+		if IsInputSource(name) {
+			t.Errorf("IsInputSource(%q) = true", name)
+		}
+	}
+}

@@ -10,10 +10,8 @@ import (
 // Config bounds the exploration and declares input ranges.
 type Config struct {
 	// InputRange is the interval assumed for every input (parameters and
-	// results of source functions).
+	// results of input sources, ir.IsInputSource).
 	InputRange Interval
-	// Sources are function names whose results are fresh inputs.
-	Sources map[string]bool
 	// MaxPaths caps the number of explored paths.
 	MaxPaths int
 	// MaxSteps caps instructions executed along one path.
@@ -27,13 +25,9 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		InputRange: Interval{Lo: 0, Hi: 255},
-		Sources: map[string]bool{
-			"read_input": true, "recv": true, "read": true, "getenv": true,
-			"fgets": true, "scanf": true,
-		},
-		MaxPaths:  4096,
-		MaxSteps:  10000,
-		LoopBound: 3,
+		MaxPaths:   4096,
+		MaxSteps:   10000,
+		LoopBound:  3,
 	}
 }
 
@@ -353,7 +347,7 @@ func (ex *executor) step(in ir.Instr, st *state) {
 	case *ir.Call:
 		if x.Dst != nil {
 			name := x.Dst.String()
-			if ex.cfg.Sources[x.Name] {
+			if ir.IsInputSource(x.Name) {
 				st.ver[name]++
 				st.markInput(name, ex.cfg.InputRange)
 				ex.res.InputSpace = math.Min(ex.res.InputSpace*ex.cfg.InputRange.Width(), 1e30)

@@ -5,8 +5,8 @@
 # cancellation/panic-containment paths — is race-checked on every run),
 # and short native-fuzz smokes over the MiniC parser (the panic source
 # the containment layer most needs to hold against), the lint rules that
-# run outside that containment, the lexer and line counter against their
-# reference implementations, the query parser, the daemon's wire-to-tree
+# run outside that containment, the lexer, line counter and taint engine
+# against their reference implementations, the query parser, the daemon's wire-to-tree
 # admission, the classifier decoder, the whole model loader in both
 # formats, the store's page decoder, overflow-chain reader and Open over
 # fuzzed meta slots and log, the client's NDJSON stream reader, and the
@@ -56,6 +56,13 @@ go test -run Fuzz -fuzz FuzzTokenize -fuzztime 10s ./internal/lexer
 
 echo "== fuzz smoke (FuzzCountLines, 10s) =="
 go test -run Fuzz -fuzz FuzzCountLines -fuzztime 10s ./internal/metrics
+
+# FuzzTaint holds the intraprocedural taint pass (the origin solver with no
+# summaries) to the boolean solver it replaced, kept in its tests, and runs
+# the whole-program pass on the same input. Its seeds include generated
+# files of a few KB, so it caps minimization at 5 runs as well.
+echo "== fuzz smoke (FuzzTaint, 10s) =="
+go test -run Fuzz -fuzz FuzzTaint -fuzztime 10s -fuzzminimizetime 5x ./internal/dataflow
 
 echo "== fuzz smoke (FuzzQueryParse, 10s) =="
 go test -run Fuzz -fuzz FuzzQueryParse -fuzztime 10s ./internal/store/query
