@@ -9,7 +9,7 @@
 //	secmetric focus    [-model m.json] [-budget N] <dir>  apportion deep analysis
 //	secmetric rank     [-top N] [-json] [-explain] [-vcs-seed N] <dir>  rank functions by risk
 //	secmetric findings [-min sev] [-json] [-history db] <dir>   print the CWE-tagged findings
-//	secmetric query    [-db db] [-explain] [-full-scan] [-json] "<expr>"  query the findings history
+//	secmetric query    [-db db] [-explain] [-json] "<expr>"  query the findings history
 //	secmetric image    [-model m.json] <manifest.json>  whole-image evaluation
 //
 // analyze, score, compare, and image also accept -jobs N (worker-pool
@@ -107,7 +107,7 @@ func usage() error {
   secmetric focus    [-model m.json] [-budget N] <dir>
   secmetric rank     [-top N] [-json] [-explain] [-vcs-seed N] [-jobs N] <dir>
   secmetric findings [-min sev] [-json] [-history db] [-jobs N] <dir>
-  secmetric query    [-db db] [-explain] [-full-scan] [-json] "<expr>"
+  secmetric query    [-db db] [-explain] [-json] "<expr>"
   secmetric image    [-model m.json] [-jobs N] [-cache dir] [-file-timeout d] <manifest.json>`)
 }
 
@@ -214,7 +214,6 @@ func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	dbPath := fs.String("db", "findings.db", "findings-history database to search")
 	explain := fs.Bool("explain", false, "print the planner's access-path decision before the results")
-	fullScan := fs.Bool("full-scan", false, "disable the index planner and filter every run (parity check)")
 	asJSON := fs.Bool("json", false, "emit the matching runs as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -239,7 +238,7 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	defer s.Close()
-	runs, ex, err := s.QueryString(src, findex.Options{ForceFullScan: *fullScan})
+	runs, ex, err := s.QueryString(src, findex.Options{})
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/attackgraph"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
-	"repro/internal/minic"
 	"repro/internal/symexec"
 )
 
@@ -38,15 +37,11 @@ int handle_request(int reqlen) {
 `
 
 func main() {
-	prog, err := minic.Parse(serviceSource)
+	_, prog, err := ir.Parse(serviceSource)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lowered, err := ir.Lower(prog)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fn := lowered.Funcs[0]
+	fn := prog.Funcs[0]
 
 	// Symbolic execution: enumerate feasible paths and count the input
 	// assignments that trigger each one.
@@ -62,7 +57,7 @@ func main() {
 
 	// Abstract interpretation: sound bounds over all paths, no budget.
 	fmt.Println("\n== Abstract interpretation ==")
-	ai := absint.Analyze(fn, absint.DefaultConfig())
+	ai := absint.Analyze(fn)
 	fmt.Printf("return range over all inputs: %s\n", ai.ReturnRange)
 	fmt.Printf("fixpoint in %d iterations; %d unreachable block(s)\n",
 		ai.Iterations, len(ai.Unreachable))

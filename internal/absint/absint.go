@@ -16,22 +16,13 @@ import (
 	"repro/internal/symexec"
 )
 
-// Config controls the analysis.
-type Config struct {
-	// InputRange is assumed for parameters and the results of input
-	// sources (ir.IsInputSource).
-	InputRange symexec.Interval
-	// WidenAfter is the number of joins at a block before widening kicks in.
-	WidenAfter int
-}
+// inputRange is assumed for parameters and the results of input sources
+// (ir.IsInputSource), as in the symbolic executor's default configuration.
+// Nothing assigns it: it is a constant Go cannot declare as one.
+var inputRange = symexec.Interval{Lo: 0, Hi: 255}
 
-// DefaultConfig matches the symbolic executor's conventions.
-func DefaultConfig() Config {
-	return Config{
-		InputRange: symexec.Interval{Lo: 0, Hi: 255},
-		WidenAfter: 3,
-	}
-}
+// widenAfter is the number of joins at a block before widening kicks in.
+const widenAfter = 3
 
 // Warning is a possible runtime fault the abstract semantics cannot rule
 // out.
@@ -125,17 +116,14 @@ func statesEqual(a, b State) bool {
 }
 
 // Analyze runs the fixpoint over one function.
-func Analyze(f *ir.Func, cfg Config) *Result {
-	if cfg.WidenAfter == 0 {
-		cfg.WidenAfter = 3
-	}
+func Analyze(f *ir.Func) *Result {
 	res := &Result{
 		In:          map[*ir.Block]State{},
 		ReturnRange: symexec.Interval{Lo: 1, Hi: 0},
 	}
 	entry := State{}
 	for _, p := range f.Params {
-		entry[p] = cfg.InputRange
+		entry[p] = inputRange
 	}
 	res.In[f.Entry()] = entry
 
@@ -163,7 +151,7 @@ func Analyze(f *ir.Func, cfg Config) *Result {
 		st := res.In[blk].clone()
 		// Transfer the block (warnings only recorded once per site).
 		for _, in := range blk.Instrs {
-			step(in, st, cfg, func(w Warning) {
+			step(in, st, func(w Warning) {
 				if !warned[w] {
 					warned[w] = true
 					res.Warnings = append(res.Warnings, w)
@@ -180,7 +168,7 @@ func Analyze(f *ir.Func, cfg Config) *Result {
 			}
 			merged := join(cur, out)
 			joinCount[succ]++
-			if joinCount[succ] > cfg.WidenAfter {
+			if joinCount[succ] > widenAfter {
 				merged = widen(cur, merged)
 			}
 			if !statesEqual(cur, merged) {
@@ -227,7 +215,7 @@ func Analyze(f *ir.Func, cfg Config) *Result {
 }
 
 // step transfers one instruction over the state.
-func step(in ir.Instr, st State, cfg Config, warn func(Warning)) {
+func step(in ir.Instr, st State, warn func(Warning)) {
 	switch x := in.(type) {
 	case *ir.Assign:
 		st[x.Dst.String()] = evalValue(x.Src, st)
@@ -279,7 +267,7 @@ func step(in ir.Instr, st State, cfg Config, warn func(Warning)) {
 	case *ir.Call:
 		if x.Dst != nil {
 			if ir.IsInputSource(x.Name) {
-				st[x.Dst.String()] = cfg.InputRange
+				st[x.Dst.String()] = inputRange
 			} else {
 				st[x.Dst.String()] = symexec.Top()
 			}

@@ -14,7 +14,7 @@ import (
 func analyze(t *testing.T, src string) (*ir.Func, *Result) {
 	t.Helper()
 	f := ir.MustLowerSource(src).Funcs[0]
-	return f, Analyze(f, DefaultConfig())
+	return f, Analyze(f)
 }
 
 func TestReturnRangeStraightLine(t *testing.T) {
@@ -163,12 +163,12 @@ func TestSoundAgainstInterpreter(t *testing.T) {
 		}
 		rng := stats.NewRNG(seed * 31)
 		for _, fn := range prog.Funcs {
-			res := Analyze(fn, DefaultConfig())
+			res := Analyze(fn)
 			for trial := 0; trial < 4; trial++ {
 				cfg := interp.DefaultConfig()
 				inputs := make([]int64, len(fn.Params)+6)
 				for i := range inputs {
-					inputs[i] = int64(rng.Intn(256)) // match InputRange
+					inputs[i] = int64(rng.Intn(256)) // match inputRange
 				}
 				cfg.Inputs = inputs
 				cfg.MaxSteps = 20000

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/featcache"
 	"repro/internal/findings"
+	"repro/internal/ir"
 	"repro/internal/metrics"
 	"repro/internal/ml"
 )
@@ -137,14 +138,16 @@ func findingsKey(f metrics.File) string {
 	return featcache.Key(AnalysisVersion, "findings", findings.Language(f).String(), f.Content)
 }
 
-// fileFindingsContained runs findings.AnalyzeFile under the extraction
-// pipeline's containment. A degraded file has no findings.
+// fileFindingsContained parses the file and runs findings.AnalyzeFile
+// under the extraction pipeline's containment, which covers the parse too.
+// A degraded file has no findings.
 func fileFindingsContained(ctx context.Context, f metrics.File, timeout time.Duration) ([]findings.Finding, FileStatus, string) {
 	list, status, detail, _ := runContained(ctx, timeout, "findings analysis", func() ([]findings.Finding, FileStatus, string) {
 		if findingsTestHook != nil {
 			findingsTestHook(f)
 		}
-		return findings.AnalyzeFile(f).Findings, StatusOK, ""
+		ast, prog, _ := ir.Parse(f.Content)
+		return findings.AnalyzeFile(f, ast, prog).Findings, StatusOK, ""
 	})
 	return list, status, detail
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/featcache"
 	"repro/internal/findings"
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/langgen"
 	"repro/internal/metrics"
@@ -28,7 +29,8 @@ import (
 func referenceFindings(tree *metrics.Tree, minSev findings.Severity) *findings.Report {
 	rep := &findings.Report{}
 	for _, f := range tree.Files {
-		for _, fd := range findings.AnalyzeFile(f).Findings {
+		ast, prog, _ := ir.Parse(f.Content)
+		for _, fd := range findings.AnalyzeFile(f, ast, prog).Findings {
 			if fd.Severity >= minSev {
 				rep.Findings = append(rep.Findings, fd)
 			}

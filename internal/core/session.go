@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/ir"
 	"repro/internal/lint"
 	"repro/internal/metrics"
 	"repro/internal/ml"
@@ -241,7 +242,8 @@ func (s *Session) Apply(ctx context.Context, cs Changeset) (*ApplyResult, error)
 		fs.SetLabel(f.Path)
 		fs.Add("bytes", int64(len(f.Content)))
 		sf := &sessionFile{file: f, scan: metrics.ScanFile(f)}
-		sf.lints = lint.CheckFile(f).Total()
+		ast, prog, _ := ir.Parse(f.Content)
+		sf.lints = lint.CheckFile(f, ast, prog).Total()
 		sf.enr, sf.status, sf.detail = enrichFileCached(ctx, f, s.cfg, &ct, fs)
 		fs.End()
 		results[i] = sf

@@ -19,7 +19,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/lint"
 	"repro/internal/metrics"
-	"repro/internal/minic"
 	"repro/internal/ml"
 	"repro/internal/stats"
 	"repro/internal/symexec"
@@ -244,7 +243,7 @@ type fileEnrichment struct {
 	CWE121        int `json:"cwe121"`
 	CWE134        int `json:"cwe134"`
 	CWE78         int `json:"cwe78"`
-	// LintWarnings is lint.CheckFile(f).Total() for the file exactly as
+	// LintWarnings is lint.CheckFile's total for the file exactly as
 	// given — the file's share of the lint_warnings feature. It is the one
 	// enrichment a degraded file still carries (see enrichFileDeadline).
 	LintWarnings int `json:"lint_warnings"`
@@ -506,7 +505,8 @@ func enrichFileDeadline(ctx context.Context, f metrics.File, timeout time.Durati
 		detail += "; degraded to base metrics"
 	}
 	if status == StatusTimeout || status == StatusPanic {
-		enr.LintWarnings = lint.CheckFile(f).Total()
+		ast, prog, _ := ir.Parse(f.Content)
+		enr.LintWarnings = lint.CheckFile(f, ast, prog).Total()
 	}
 	return enr, status, detail
 }
@@ -570,17 +570,22 @@ func runContained[T any](ctx context.Context, timeout time.Duration, what string
 	}
 }
 
-// enrichFile runs the deep analyses over one file; files that do not parse
-// as MiniC contribute the CWE-mapped token-rule findings but nothing else
-// beyond the base metrics (real C rarely parses as MiniC; the token metrics
-// already cover it), and report parse-skip so the omission is visible in the
-// diagnostics.
+// enrichFile runs the deep analyses over one file. It parses the file once
+// and hands the parse to the findings layer, the lint recount and the deep
+// passes. Files that do not parse as MiniC contribute the CWE-mapped
+// token-rule findings but nothing else beyond the base metrics (real C
+// rarely parses as MiniC; the token metrics already cover it), and report
+// parse-skip so the omission is visible in the diagnostics.
 func enrichFile(f metrics.File, sp *trace.Span) (fileEnrichment, FileStatus, string) {
 	var out fileEnrichment
+	// Every file is parsed: lint's AST rules apply in any language.
+	ps := sp.Child("parse")
+	ast, prog, err := ir.Parse(f.Content)
+	ps.End()
 	// The findings layer applies to every file: token-level lint rules need
-	// no parse, and the IR-based producers gate themselves on parseability.
+	// no parse, and the IR-based producers gate themselves on the parse.
 	fds := sp.Child("findings")
-	fa := findings.AnalyzeFile(f)
+	fa := findings.AnalyzeFile(f, ast, prog)
 	fds.End()
 	out.InterSinks = fa.InterTaintSinks
 	out.TaintMaxChain = fa.TaintMaxChain
@@ -588,7 +593,7 @@ func enrichFile(f metrics.File, sp *trace.Span) (fileEnrichment, FileStatus, str
 	if f.Language == lang.Unknown && lang.FromPath(f.Path) != lang.Unknown {
 		// The findings layer linted at the path-inferred language; the
 		// feature counts the file as given.
-		out.LintWarnings = lint.CheckFile(f).Total()
+		out.LintWarnings = lint.CheckFile(f, ast, prog).Total()
 	}
 	for _, fd := range fa.Findings {
 		if fd.CWE == 0 {
@@ -606,34 +611,29 @@ func enrichFile(f metrics.File, sp *trace.Span) (fileEnrichment, FileStatus, str
 	if f.Language != lang.MiniC && f.Language != lang.C {
 		return out, StatusOK, ""
 	}
-	ps := sp.Child("parse")
-	prog, err := minic.Parse(f.Content)
-	if err != nil {
-		ps.End()
+	if ast == nil {
 		return out, StatusParseSkip, fmt.Sprintf("not parsed as MiniC: %v", err)
 	}
-	lowered, err := ir.Lower(prog)
-	ps.End()
-	if err != nil {
+	if prog == nil {
 		return out, StatusParseSkip, fmt.Sprintf("IR lowering failed: %v", err)
 	}
 	ts := sp.Child("taint")
-	out.TaintedSinks = dataflow.CountTaintedSinks(lowered)
+	out.TaintedSinks = dataflow.CountTaintedSinks(prog)
 	ts.End()
 	ss := sp.Child("symexec")
 	cfg := symexec.DefaultConfig()
-	for _, fn := range lowered.Funcs {
+	for _, fn := range prog.Funcs {
 		out.FeasiblePaths += float64(symexec.Explore(fn, cfg).FeasiblePaths)
 	}
 	ss.End()
 	cs := sp.Child("callgraph")
-	cg := callgraph.Build(lowered)
+	cg := callgraph.Build(prog)
 	out.MaxFanOut = cg.MaxFanOut()
 	out.MaxDepth = cg.Depth()
 	cs.End()
 	is := sp.Child("interp")
 	for _, root := range cg.Roots() {
-		prof, err := interp.ProfileFunc(lowered, root, 24, 0xd1ce)
+		prof, err := interp.ProfileFunc(prog, root, 24, 0xd1ce)
 		if err != nil {
 			continue
 		}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/langgen"
-	"repro/internal/minic"
 	"repro/internal/ml"
 	"repro/internal/stats"
 	"repro/internal/symexec"
@@ -152,11 +151,7 @@ func AblationSymexecBound(seed uint64) (AblationSymexecBoundResult, error) {
 	tree := langgen.Generate(spec)
 	var progs []*ir.Program
 	for _, f := range tree.Files {
-		ast, err := minic.Parse(f.Content)
-		if err != nil {
-			return AblationSymexecBoundResult{}, err
-		}
-		p, err := ir.Lower(ast)
+		_, p, err := ir.Parse(f.Content)
 		if err != nil {
 			return AblationSymexecBoundResult{}, err
 		}

@@ -195,17 +195,19 @@ func Language(f metrics.File) lang.Language {
 	return f.Language
 }
 
-// AnalyzeFile runs every findings producer over one file. The token-level
-// lint rules apply to any language; the taint engine and abstract
-// interpreter additionally require the file to parse as MiniC. The result
-// is deterministic in the file bytes and Language(f), and sorted by (line,
-// rule, message); the path only fills each finding's File.
-func AnalyzeFile(f metrics.File) FileAnalysis {
+// AnalyzeFile runs every findings producer over one file, given ast and
+// prog as ir.Parse returns them for its content. The token-level lint
+// rules apply to any language; lint's AST rules need prog, and the taint
+// engine and abstract interpreter need prog and Language(f) MiniC or C. A
+// nil prog (the file did not parse or did not lower) runs the token rules
+// alone. The result is deterministic in the file bytes and Language(f),
+// and sorted by (line, rule, message); the path only fills each finding's
+// File.
+func AnalyzeFile(f metrics.File, ast *minic.Program, prog *ir.Program) FileAnalysis {
 	var fa FileAnalysis
 	f.Language = Language(f)
 
-	// Lint battery (token rules always, AST rules when MiniC-parseable).
-	rep := lint.Check(metrics.NewTree(f.Path, f))
+	rep := lint.CheckFile(f, ast, prog)
 	fa.LintWarnings = rep.Total()
 	for _, w := range rep.Warnings {
 		m := LintRules[w.Rule]
@@ -219,12 +221,8 @@ func AnalyzeFile(f metrics.File) FileAnalysis {
 		})
 	}
 
-	if f.Language == lang.MiniC || f.Language == lang.C {
-		if prog, err := minic.Parse(f.Content); err == nil {
-			if lowered, err := ir.Lower(prog); err == nil {
-				fa.addDeep(f.Path, lowered)
-			}
-		}
+	if prog != nil && (f.Language == lang.MiniC || f.Language == lang.C) {
+		fa.addDeep(f.Path, prog)
 	}
 
 	sort.SliceStable(fa.Findings, func(i, j int) bool {
@@ -262,9 +260,8 @@ func (fa *FileAnalysis) addDeep(path string, lowered *ir.Program) {
 		})
 	}
 
-	acfg := absint.DefaultConfig()
 	for _, fn := range lowered.Funcs {
-		for _, w := range absint.Analyze(fn, acfg).Warnings {
+		for _, w := range absint.Analyze(fn).Warnings {
 			m, ok := AbsintRules[w.Kind]
 			if !ok {
 				m.Sev = SevLow

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cwe"
 	"repro/internal/dataflow"
+	"repro/internal/ir"
 	"repro/internal/lint"
 	"repro/internal/metrics"
 )
@@ -31,11 +32,17 @@ func tree(name, src string) *metrics.Tree {
 	return metrics.NewTree(name, metrics.File{Path: name + ".c", Content: src})
 }
 
+// analyze parses f and runs AnalyzeFile on the parse.
+func analyze(f metrics.File) FileAnalysis {
+	ast, prog, _ := ir.Parse(f.Content)
+	return AnalyzeFile(f, ast, prog)
+}
+
 // collect analyzes every file of the tree and merges the per-file lists.
 func collect(t *metrics.Tree) *Report {
 	perFile := make([][]Finding, len(t.Files))
 	for i, f := range t.Files {
-		perFile[i] = AnalyzeFile(f).Findings
+		perFile[i] = analyze(f).Findings
 	}
 	return Merge(perFile)
 }
@@ -65,7 +72,7 @@ func TestCollectCrossFunctionCWE121(t *testing.T) {
 }
 
 func TestAnalyzeFileAggregates(t *testing.T) {
-	fa := AnalyzeFile(metrics.File{Path: "vuln.c", Content: vulnSrc})
+	fa := analyze(metrics.File{Path: "vuln.c", Content: vulnSrc})
 	if fa.InterTaintSinks < 2 {
 		t.Fatalf("InterTaintSinks = %d, want >= 2 (strcpy + system)", fa.InterTaintSinks)
 	}
@@ -206,7 +213,7 @@ func TestCollectDeterministic(t *testing.T) {
 func TestNonParsingFileTokenRulesOnly(t *testing.T) {
 	// A file that does not parse as MiniC still yields token-level lint
 	// findings, and no deep findings.
-	fa := AnalyzeFile(metrics.File{Path: "broken.c", Content: "int main( { gets(x); \n"})
+	fa := analyze(metrics.File{Path: "broken.c", Content: "int main( { gets(x); \n"})
 	if fa.InterTaintSinks != 0 || fa.TaintMaxChain != 0 {
 		t.Fatalf("deep aggregates on unparseable file: %+v", fa)
 	}

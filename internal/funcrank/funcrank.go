@@ -35,7 +35,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/metrics"
-	"repro/internal/minic"
 	"repro/internal/ml"
 	"repro/internal/trace"
 	"repro/internal/vcsgen"
@@ -249,11 +248,7 @@ func deepFile(f metrics.File) (facts map[string]deepFacts, fileDegraded bool) {
 			fileDegraded = true
 		}
 	}()
-	prog, err := minic.Parse(f.Content)
-	if err != nil {
-		return nil, false
-	}
-	lowered, err := ir.Lower(prog)
+	_, lowered, err := ir.Parse(f.Content)
 	if err != nil {
 		return nil, false
 	}

@@ -350,3 +350,17 @@ func TestIsInputSource(t *testing.T) {
 		}
 	}
 }
+
+// TestParseResults pins Parse's contract on source: a file that does not
+// parse returns neither result and the parser's error, and one that
+// parses and lowers returns both and no error.
+func TestParseResults(t *testing.T) {
+	ast, prog, err := Parse("#include <stdio.h>\nint f(void) { return 0; }")
+	if ast != nil || prog != nil || err == nil || !strings.HasPrefix(err.Error(), "minic:") {
+		t.Fatalf("unparseable source: ast=%v prog=%v err=%v", ast, prog, err)
+	}
+	ast, prog, err = Parse("int f(int a) { return a; }")
+	if ast == nil || prog == nil || err != nil || len(prog.Funcs) != 1 || len(ast.Funcs) != 1 {
+		t.Fatalf("valid source: ast=%v prog=%v err=%v", ast, prog, err)
+	}
+}

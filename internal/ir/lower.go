@@ -28,14 +28,23 @@ func Lower(prog *minic.Program) (*Program, error) {
 	return out, nil
 }
 
+// Parse parses src as MiniC and lowers it to IR: the one front end the
+// per-file analyses share, so a file is parsed once however many of them
+// read it. ast is nil when src does not parse, and prog is nil when it
+// parses but does not lower; err is the parser's or the lowerer's error,
+// so ast tells the two apart. It recovers nothing: a panic in either stage
+// reaches the caller's containment.
+func Parse(src string) (ast *minic.Program, prog *Program, err error) {
+	if ast, err = minic.Parse(src); err == nil {
+		prog, err = Lower(ast)
+	}
+	return ast, prog, err
+}
+
 // MustLowerSource parses and lowers MiniC source, panicking on error; a
 // convenience for tests and generators working with known-good source.
 func MustLowerSource(src string) *Program {
-	ast, err := minic.Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	p, err := Lower(ast)
+	_, p, err := Parse(src)
 	if err != nil {
 		panic(err)
 	}

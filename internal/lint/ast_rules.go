@@ -6,17 +6,13 @@ import (
 	"repro/internal/minic"
 )
 
-// checkAST runs the MiniC-only rules: dead stores (via the dataflow
-// substrate), missing returns (via the IR), infinite loops, and
-// division-by-unvalidated-value. Like the bug finders the paper surveys,
-// several of these are deliberately noisy; the model is what separates the
-// wheat from the chaff.
-func checkAST(path string, prog *minic.Program, rep *Report) {
-	lowered, err := ir.Lower(prog)
-	if err != nil {
-		return
-	}
-	for _, f := range lowered.Funcs {
+// checkAST runs the rules that need a MiniC parse, over the file's AST and
+// its lowered program: dead stores (via the dataflow substrate), missing
+// returns (via the IR), infinite loops, and division-by-unvalidated-value. Like the bug
+// finders the paper surveys, several of these are deliberately noisy; the
+// model is what separates the wheat from the chaff.
+func checkAST(path string, ast *minic.Program, prog *ir.Program, rep *Report) {
+	for _, f := range prog.Funcs {
 		for _, d := range dataflow.DeadStores(f) {
 			if d.Var == "" || d.Temp {
 				continue
@@ -39,7 +35,7 @@ func checkAST(path string, prog *minic.Program, rep *Report) {
 			}
 		}
 	}
-	for _, fn := range prog.Funcs {
+	for _, fn := range ast.Funcs {
 		walkStmts(fn.Body, func(s minic.Stmt) {
 			switch x := s.(type) {
 			case *minic.WhileStmt:

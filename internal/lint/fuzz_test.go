@@ -5,19 +5,27 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/lang"
 	"repro/internal/langgen"
 	"repro/internal/metrics"
 )
 
+// fuzzLanguage maps FuzzLint's language byte onto lang.Unknown through
+// lang.MiniC: the five languages the lexer knows and Unknown, which lints
+// with C's syntax.
+func fuzzLanguage(b uint8) lang.Language { return lang.Language(int(b) % int(lang.MiniC+1)) }
+
 // FuzzLint feeds client-supplied bytes through everything lint runs on
-// them: the token rules, and for input that parses as MiniC, lowering and
-// the dead-store dataflow. The daemon runs that outside the per-file panic
-// boundary (Session.Apply lints each touched file on the worker pool, and
-// a degraded file's lint is recounted on its worker), so a panic here would
-// end the process. Lint must never panic, and CheckFile must report exactly
-// the warnings Check reports for a one-file tree, which is what lets a
-// session keep tree totals by per-file delta.
+// them, in any language: the token rules at that language, and for input
+// that parses as MiniC (whatever its language), lowering, the dead-store
+// dataflow and the AST walks. The daemon runs that outside the per-file
+// panic boundary (Session.Apply lints each touched file in its own
+// language on the worker pool, and a degraded file's lint is recounted on
+// its worker), so a panic here would end the process. Lint must never
+// panic, and CheckFile on the file's ir.Parse must report exactly the
+// warnings Check reports for a one-file tree, which is what lets a session
+// keep tree totals by per-file delta.
 func FuzzLint(f *testing.F) {
 	seeds := []string{
 		// FuzzParse's seeds.
@@ -34,22 +42,36 @@ func FuzzLint(f *testing.F) {
 		"int spin(int n) { while (1) { n = n + 1; } return n; }",
 		"int div(int a, int b) { return a / b; }",
 	}
-	for seed := uint64(1); seed <= 3; seed++ {
-		spec := langgen.DefaultSpec()
-		spec.Files, spec.Seed = 2, seed
-		for _, file := range langgen.Generate(spec).Files {
-			seeds = append(seeds, file.Content)
+	for _, s := range seeds {
+		f.Add(uint8(lang.MiniC), s)
+	}
+	// One seed per other language whose token rules see what MiniC's do
+	// not: a quote C strings take and MiniC strings do not, a catch
+	// keyword, a Python comment.
+	quoted := "int f(void) { int s = 'gets(x)'; return s; }"
+	f.Add(uint8(lang.Unknown), quoted)
+	f.Add(uint8(lang.C), quoted)
+	f.Add(uint8(lang.CPP), "void f() { try { g(); } catch (...) {} }")
+	f.Add(uint8(lang.Java), "class A { void f() { try { g(); } catch (Exception e) {} } }")
+	f.Add(uint8(lang.Python), "# gets(buf)\ndef f(x):\n    return x\n")
+	for _, l := range []lang.Language{lang.MiniC, lang.Python, lang.Java} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			spec := langgen.DefaultSpec()
+			spec.Language, spec.Files, spec.Seed = l, 2, seed
+			for _, file := range langgen.Generate(spec).Files {
+				f.Add(uint8(l), file.Content)
+			}
 		}
 	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, src string) {
+	f.Fuzz(func(t *testing.T, lb uint8, src string) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")
 		}
-		file := metrics.File{Path: "f.mc", Language: lang.MiniC, Content: src}
-		got := CheckFile(file).Warnings
+		// The path names no language, so the one-file tree keeps the
+		// fuzzed one, Unknown included.
+		file := metrics.File{Path: "f", Language: fuzzLanguage(lb), Content: src}
+		ast, prog, _ := ir.Parse(src)
+		got := CheckFile(file, ast, prog).Warnings
 		sort.SliceStable(got, func(i, j int) bool { return got[i].Line < got[j].Line })
 		want := Check(metrics.NewTree("t", file)).Warnings
 		if !reflect.DeepEqual(got, want) {

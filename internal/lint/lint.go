@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/ir"
 	"repro/internal/lexer"
 	"repro/internal/metrics"
 	"repro/internal/minic"
@@ -75,7 +76,8 @@ var unsafeCalls = map[string]bool{
 	"vsprintf": true, "scanf": true, "alloca": true, "strtok": true,
 }
 
-// Check runs every applicable rule over the tree.
+// Check runs every applicable rule over the tree, parsing each file with
+// ir.Parse for the AST rules.
 func Check(t *metrics.Tree) *Report {
 	rep := &Report{}
 	// Per-file scratch, reused across the tree so steady-state checking does
@@ -84,7 +86,8 @@ func Check(t *metrics.Tree) *Report {
 	for _, f := range t.Files {
 		all = lexer.TokenizeInto(all[:0], f.Content, f.Language)
 		code = lexer.CodeInto(code[:0], all)
-		checkFile(f, code, rep)
+		ast, prog, _ := ir.Parse(f.Content)
+		checkFile(f, code, ast, prog, rep)
 	}
 	sort.SliceStable(rep.Warnings, func(i, j int) bool {
 		if rep.Warnings[i].File != rep.Warnings[j].File {
@@ -95,23 +98,25 @@ func Check(t *metrics.Tree) *Report {
 	return rep
 }
 
-// CheckFile runs every applicable rule over one file. Warnings depend only
+// CheckFile runs every applicable rule over one file, given ast and prog
+// as ir.Parse returns them for its content. A nil prog (the file did not
+// parse or did not lower) runs the token rules alone. Warnings depend only
 // on the file itself, so a tree report is exactly the per-file reports
 // concatenated (then sorted); incremental analyses rely on that to
 // maintain warning totals by delta.
-func CheckFile(f metrics.File) *Report {
+func CheckFile(f metrics.File, ast *minic.Program, prog *ir.Program) *Report {
 	rep := &Report{}
 	code := lexer.CodeInto(nil, lexer.Tokenize(f.Content, f.Language))
-	checkFile(f, code, rep)
+	checkFile(f, code, ast, prog, rep)
 	return rep
 }
 
-// checkFile folds one file's token and AST rules into rep.
-func checkFile(f metrics.File, code []lexer.Token, rep *Report) {
+// checkFile folds one file's token and AST rules into rep. The AST rules
+// apply, in any language, to files that parse as MiniC and lower.
+func checkFile(f metrics.File, code []lexer.Token, ast *minic.Program, prog *ir.Program, rep *Report) {
 	checkTokens(f, code, rep)
-	// The AST rules only apply to files that parse as MiniC.
-	if prog, err := minic.Parse(f.Content); err == nil {
-		checkAST(f.Path, prog, rep)
+	if prog != nil {
+		checkAST(f.Path, ast, prog, rep)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/findings"
+	"repro/internal/ir"
 	"repro/internal/metrics"
 	"repro/internal/store/findex"
 	"repro/pkg/api"
@@ -20,7 +21,8 @@ import (
 func wantFindings(tree *metrics.Tree, minSev findings.Severity) *findings.Report {
 	perFile := make([][]findings.Finding, len(tree.Files))
 	for i, f := range tree.Files {
-		perFile[i] = (&findings.Report{Findings: findings.AnalyzeFile(f).Findings}).MinSeverity(minSev).Findings
+		ast, prog, _ := ir.Parse(f.Content)
+		perFile[i] = (&findings.Report{Findings: findings.AnalyzeFile(f, ast, prog).Findings}).MinSeverity(minSev).Findings
 	}
 	return findings.Merge(perFile)
 }

@@ -369,7 +369,7 @@ var endpoints = []mounter{
 			return p, nil
 		},
 		work: func(ctx context.Context, s *Server, req *api.QueryRequest, p prepared, _ func(api.StreamFile)) (*api.QueryResponse, error) {
-			runs, ex, err := s.cfg.History.Query(p.query, findex.Options{ForceFullScan: req.FullScan})
+			runs, ex, err := s.cfg.History.Query(p.query, findex.Options{})
 			if err != nil {
 				return nil, err
 			}

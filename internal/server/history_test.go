@@ -53,8 +53,8 @@ func TestRecordHonorsContext(t *testing.T) {
 }
 
 // TestQueryWithoutHistory pins the no-db contract: a well-formed query is
-// answered 404 no_history, a malformed one 400 — and neither consumes a
-// worker slot.
+// answered 404 no_history, a malformed one 400, and so is a request
+// carrying the retired full_scan field — and none consumes a worker slot.
 func TestQueryWithoutHistory(t *testing.T) {
 	mA, _ := getModels(t)
 	reg := NewRegistry("", nil)
@@ -74,11 +74,16 @@ func TestQueryWithoutHistory(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad query: status %d: %s", resp.StatusCode, data)
 	}
+
+	resp, data = postJSON(t, ts.URL+"/v1/query", map[string]any{"query": "cwe121 > 0", "full_scan": true})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "full_scan") {
+		t.Fatalf("full_scan request: status %d: %s", resp.StatusCode, data)
+	}
 }
 
 // TestHistoryRecordingAndQuery drives score, compare, and rank against a
 // -db-backed server and checks every request landed in the history, that
-// /v1/query's planned path matches its forced full scan byte-for-byte, and
+// /v1/query answers what a forced full scan of its store finds, and
 // that the metrics exposition reports the recording counters.
 func TestHistoryRecordingAndQuery(t *testing.T) {
 	mA, _ := getModels(t)
@@ -137,16 +142,17 @@ func TestHistoryRecordingAndQuery(t *testing.T) {
 		t.Fatalf("tree-2 runs: %+v", named.Runs)
 	}
 
-	// Index/full-scan parity over the wire; miniSource trips the strcpy
-	// rule, so a CWE predicate exercises a real index.
+	// The wire answer equals a forced full scan of the same store;
+	// miniSource trips the strcpy rule, so a CWE predicate exercises a
+	// real index.
 	src := "cwe120 > 0 OR severity >= info"
 	planned := query(api.QueryRequest{Query: src})
-	full := query(api.QueryRequest{Query: src, FullScan: true})
-	if !full.Explain.FullScan {
-		t.Fatalf("full_scan request did not full-scan: %+v", full.Explain)
+	full, ex, err := hist.QueryString(src, findex.Options{ForceFullScan: true})
+	if err != nil || !ex.FullScan {
+		t.Fatalf("forced full scan: %+v, %v", ex, err)
 	}
 	pj, _ := json.Marshal(planned.Runs)
-	fj, _ := json.Marshal(full.Runs)
+	fj, _ := json.Marshal(full)
 	if string(pj) != string(fj) {
 		t.Fatalf("wire parity violation:\n planned: %s\n full:    %s", pj, fj)
 	}

@@ -495,10 +495,12 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 // under the same admission discipline as the analysis itself), but its
 // outcome only moves counters — a full disk must not turn a perfectly good
 // score into a 500. The findings come from the collector under the
-// request's context, so a file the request's extraction just analyzed is
-// usually a findings-record hit. A request canceled or past its deadline,
-// or a file whose findings analysis panicked or timed out, appends nothing
-// and counts as a recording error.
+// request's context. Extraction writes only enrichment records, so a file
+// new to the feature cache misses the findings record and the collector
+// analyzes it again (one ir.Parse, then the findings producers); only a
+// file an earlier collection analyzed is a findings-record hit. A request
+// canceled or past its deadline, or a file whose findings analysis
+// panicked or timed out, appends nothing and counts as a recording error.
 func (s *Server) record(ctx context.Context, source string, tree *metrics.Tree, score float64, hasScore bool) {
 	if s.cfg.History == nil {
 		return

@@ -14,8 +14,8 @@ import (
 // Options tunes query execution.
 type Options struct {
 	// ForceFullScan disables the planner, always filtering every run.
-	// The parity tests (and the CLI's -full-scan flag) compare its output
-	// byte-for-byte against the planned path.
+	// The parity tests compare its output byte-for-byte against the
+	// planned path.
 	ForceFullScan bool
 }
 

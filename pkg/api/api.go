@@ -183,11 +183,8 @@ type QueryRequest struct {
 	// Query is the filter expression, e.g.
 	// `cwe121 > 0 AND severity >= high ORDER BY score DESC LIMIT 20`.
 	// The empty string matches every run.
-	Query string `json:"query"`
-	// FullScan disables the index planner and filters every run — the
-	// wire form of the CLI's -full-scan parity check.
-	FullScan  bool  `json:"full_scan,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	Query     string `json:"query"`
+	TimeoutMS int64  `json:"timeout_ms,omitempty"`
 }
 
 // QueryExplain mirrors the planner's account of how a query executed.

@@ -43,9 +43,10 @@ go test -race -timeout 5m ./...
 echo "== fuzz smoke (FuzzParse, 10s) =="
 go test -run Fuzz -fuzz FuzzParse -fuzztime 10s ./internal/minic
 
-# FuzzLint runs the lint rules over fuzzed MiniC: the daemon lints outside
-# the per-file panic boundary. Its seeds include generated files of a few
-# KB, so it caps minimization at 5 runs as well.
+# FuzzLint runs the lint rules over fuzzed source in a fuzzed language
+# (the five and Unknown): the daemon lints outside the per-file panic
+# boundary, in each file's language. Its seeds include generated files of
+# a few KB, so it caps minimization at 5 runs as well.
 echo "== fuzz smoke (FuzzLint, 10s) =="
 go test -run Fuzz -fuzz FuzzLint -fuzztime 10s -fuzzminimizetime 5x ./internal/lint
 
