@@ -46,7 +46,7 @@ func main() {
 	// Symbolic execution: enumerate feasible paths and count the input
 	// assignments that trigger each one.
 	fmt.Println("== Symbolic execution of handle_request ==")
-	res := symexec.Explore(fn, symexec.DefaultConfig())
+	res := symexec.Explore(fn, symexec.DefaultLoopBound)
 	fmt.Printf("feasible paths: %d (infeasible pruned: %d)\n",
 		res.FeasiblePaths, res.InfeasiblePaths)
 	fmt.Printf("input space: %.0f assignments; block coverage %d/%d\n",

@@ -17,9 +17,9 @@ import (
 )
 
 // inputRange is assumed for parameters and the results of input sources
-// (ir.IsInputSource), as in the symbolic executor's default configuration.
-// Nothing assigns it: it is a constant Go cannot declare as one.
-var inputRange = symexec.Interval{Lo: 0, Hi: 255}
+// (ir.IsInputSource): the byte range ir declares, as in the symbolic
+// executor. Nothing assigns it: it is a constant Go cannot declare as one.
+var inputRange = symexec.Interval{Lo: ir.InputMin, Hi: ir.InputMax}
 
 // widenAfter is the number of joins at a block before widening kicks in.
 const widenAfter = 3

@@ -165,20 +165,15 @@ func TestSoundAgainstInterpreter(t *testing.T) {
 		for _, fn := range prog.Funcs {
 			res := Analyze(fn)
 			for trial := 0; trial < 4; trial++ {
-				cfg := interp.DefaultConfig()
 				inputs := make([]int64, len(fn.Params)+6)
 				for i := range inputs {
-					inputs[i] = int64(rng.Intn(256)) // match inputRange
+					inputs[i] = ir.InputMin + int64(rng.Intn(ir.InputMax-ir.InputMin+1)) // match inputRange
 				}
-				cfg.Inputs = inputs
-				cfg.MaxSteps = 20000
 				// External call results must also respect the abstraction:
 				// the analysis maps unknown externals to Top, so any value
-				// is fine, but source functions assume [0,255].
-				cfg.ExternalValue = func(name string, callIndex int) int64 {
-					return int64(callIndex % 256)
-				}
-				tr, err := interp.Run(prog, fn.Name, cfg)
+				// is fine, but input sources assume the byte range, which
+				// holds the interpreter's external values (0 to 18).
+				tr, err := interp.Run(prog, fn.Name, inputs)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -79,7 +79,13 @@ func CollectFindings(ctx context.Context, tree *metrics.Tree, cfg FindingsConfig
 	_ = ml.ParallelForCtx(ctx, len(tree.Files), cfg.Jobs, func(i int) error {
 		f := tree.Files[i]
 		all, status, detail := fileFindingsCached(ctx, f, cfg)
-		perFile[i] = (&findings.Report{Findings: all}).MinSeverity(cfg.MinSeverity).Findings
+		// MinSeverity copies the list, so naming the path never writes to
+		// a record the cache shares with other readers.
+		kept := (&findings.Report{Findings: all}).MinSeverity(cfg.MinSeverity).Findings
+		for j := range kept {
+			kept[j].File = f.Path
+		}
+		perFile[i] = kept
 		diags[i] = FileDiagnostic{Path: f.Path, Status: status, Detail: detail}
 		if cfg.FileDone != nil {
 			cfg.FileDone(i, diags[i], perFile[i])
@@ -102,40 +108,32 @@ func CollectFindings(ctx context.Context, tree *metrics.Tree, cfg FindingsConfig
 
 // fileFindingsCached reads the file's findings record from the cache and
 // runs the analysis only on a miss. The key covers the analysis version,
-// the record kind, the language AnalyzeFile runs at and the bytes: the
-// complete input of the list but for each finding's File, which the record
-// leaves blank. A hit's list is shared with every other reader of the
-// record, so the read copies it before filling in File. Only a completed
-// analysis is written back, and only when every string survives a JSON
-// round trip unchanged (JSON would replace invalid UTF-8 in a message, and
-// a warm run must print what a cold run prints).
+// the record kind, the file's language and its bytes: everything
+// findings.AnalyzeFile takes, so a hit equals a fresh analysis. Either way
+// every finding's File is blank, and a hit's list is shared with every
+// other reader of the record, so the caller copies it before it names the
+// path. Only a completed analysis is written back, and only when every
+// string survives a JSON round trip unchanged (JSON would replace invalid
+// UTF-8 in a message, and a warm run must print what a cold run prints).
 func fileFindingsCached(ctx context.Context, f metrics.File, cfg FindingsConfig) ([]findings.Finding, FileStatus, string) {
 	if cfg.Cache == nil {
 		return fileFindingsContained(ctx, f, cfg.FileTimeout)
 	}
 	key := findingsKey(f)
 	if rec, ok := featcache.Get[findingsRecord](cfg.Cache, key); ok {
-		list := append([]findings.Finding(nil), rec.Findings...)
-		for i := range list {
-			list[i].File = f.Path
-		}
-		return list, StatusCacheHit, ""
+		return rec.Findings, StatusCacheHit, ""
 	}
 	list, status, detail := fileFindingsContained(ctx, f, cfg.FileTimeout)
 	if status == StatusOK && roundTrips(list) {
-		rec := findingsRecord{Findings: append([]findings.Finding(nil), list...)}
-		for i := range rec.Findings {
-			rec.Findings[i].File = ""
-		}
-		_ = featcache.Put(cfg.Cache, key, rec)
+		_ = featcache.Put(cfg.Cache, key, findingsRecord{Findings: list})
 	}
 	return list, status, detail
 }
 
 // findingsKey is the feature-cache key of f's findings record: the record
-// kind, then the language AnalyzeFile runs at.
+// kind, then the file's language.
 func findingsKey(f metrics.File) string {
-	return featcache.Key(AnalysisVersion, "findings", findings.Language(f).String(), f.Content)
+	return featcache.Key(AnalysisVersion, "findings", f.Language.String(), f.Content)
 }
 
 // fileFindingsContained parses the file and runs findings.AnalyzeFile
@@ -147,7 +145,7 @@ func fileFindingsContained(ctx context.Context, f metrics.File, timeout time.Dur
 			findingsTestHook(f)
 		}
 		ast, prog, _ := ir.Parse(f.Content)
-		return findings.AnalyzeFile(f, ast, prog).Findings, StatusOK, ""
+		return findings.AnalyzeFile(f.Language, f.Content, ast, prog).Findings, StatusOK, ""
 	})
 	return list, status, detail
 }

@@ -30,8 +30,9 @@ func referenceFindings(tree *metrics.Tree, minSev findings.Severity) *findings.R
 	rep := &findings.Report{}
 	for _, f := range tree.Files {
 		ast, prog, _ := ir.Parse(f.Content)
-		for _, fd := range findings.AnalyzeFile(f, ast, prog).Findings {
+		for _, fd := range findings.AnalyzeFile(f.Language, f.Content, ast, prog).Findings {
 			if fd.Severity >= minSev {
+				fd.File = f.Path
 				rep.Findings = append(rep.Findings, fd)
 			}
 		}

@@ -8,9 +8,9 @@ package core
 // seeds 1-50, examples/vulnapp, and edge files for the language and parse
 // gates: a C file with an #include (parse-skip), a C++ file that parses as
 // MiniC (lint's AST rules, no deep passes), and files of unknown language
-// at a .c and a .py path (findings analyzes at the language the path names,
-// while the record counts lint warnings for the file as given). One line
-// per tree holds its counts and a SHA-256 digest of the full rendering.
+// at a .c and a .py path (every analysis runs at the file's own language,
+// whatever its path names). One line per tree holds its counts and a
+// SHA-256 digest of the full rendering.
 // Regenerate with
 //
 //	go test ./internal/core -run PerFileGolden -update-perfile-golden
@@ -106,14 +106,16 @@ func renderPerFile(t *testing.T, b *strings.Builder, tree *metrics.Tree) (warnin
 		warnings += rep.Total()
 		b.WriteString(rep.String())
 
-		fa := findings.AnalyzeFile(f, ast, prog)
+		// AnalyzeFile leaves File to its caller; the rendering names the
+		// path as a collector does.
+		fa := findings.AnalyzeFile(f.Language, f.Content, ast, prog)
 		found += len(fa.Findings)
 		fmt.Fprintf(b, "findings inter=%d chain=%d lint=%d\n", fa.InterTaintSinks, fa.TaintMaxChain, fa.LintWarnings)
 		for _, fd := range fa.Findings {
-			fmt.Fprintf(b, "  %s %d %s:%d %s %q\n", fd.Rule, fd.CWE, fd.File, fd.Line, fd.Severity, fd.Message)
+			fmt.Fprintf(b, "  %s %d %s:%d %s %q\n", fd.Rule, fd.CWE, f.Path, fd.Line, fd.Severity, fd.Message)
 		}
 
-		enr, status, detail := enrichFile(f, nil)
+		enr, status, detail := enrichFile(f.Language, f.Content, nil)
 		if status == StatusParseSkip {
 			skipped++
 		}

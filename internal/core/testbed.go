@@ -259,7 +259,9 @@ type fileEnrichment struct {
 // v2: interprocedural taint engine + CWE-mapped findings counts.
 // v3: the per-file lint-warning count.
 // v4: IR temporaries are spelled $<N>, apart from every MiniC name.
-const AnalysisVersion = "enrich-v4"
+// v5: findings run at the file's own language, never its path's, and
+// lint's missing-return rule reports a line where it reported 0.
+const AnalysisVersion = "enrich-v5"
 
 // ExtractConfig tunes the testbed's extraction pipeline.
 type ExtractConfig struct {
@@ -434,14 +436,15 @@ const fileSpanSeqBase = 1
 const deepSpanSeq = 1
 
 // enrichFileCached consults the cache before running the deep analyses.
-// The key covers the analysis version, the file language, and the file
-// bytes — the complete input of enrichFile — so a hit is always safe to
-// reuse and any content change is a miss. Only completed analyses (ok or
-// parse-skip, both deterministic in the file bytes) are written back: a
-// timed-out or panic-contained zero is a degraded result, and caching it
-// would make the degradation permanent even after the timeout is raised
-// or the analyzer bug fixed. A failed write only costs a future
-// re-analysis, so cache errors are deliberately not fatal.
+// The key covers the analysis version, the file's language and its bytes.
+// enrichFile reads exactly the language and the bytes, never the path, so
+// a hit equals a fresh analysis of the file at any path and any content
+// change is a miss. Only completed analyses (ok or parse-skip, both
+// deterministic in the file bytes) are written back: a timed-out or
+// panic-contained zero is a degraded result, and caching it would make the
+// degradation permanent even after the timeout is raised or the analyzer
+// bug fixed. A failed write only costs a future re-analysis, so cache
+// errors are deliberately not fatal.
 //
 // Concurrent misses on the same bytes (two requests, or a request and a
 // delta session, racing a new file) each run the analysis and each write
@@ -492,7 +495,7 @@ func enrichFileDeadline(ctx context.Context, f metrics.File, timeout time.Durati
 		if enrichTestHook != nil {
 			enrichTestHook(f)
 		}
-		return enrichFile(f, deep)
+		return enrichFile(f.Language, f.Content, deep)
 	})
 	switch {
 	case done:
@@ -570,31 +573,28 @@ func runContained[T any](ctx context.Context, timeout time.Duration, what string
 	}
 }
 
-// enrichFile runs the deep analyses over one file. It parses the file once
-// and hands the parse to the findings layer, the lint recount and the deep
-// passes. Files that do not parse as MiniC contribute the CWE-mapped
-// token-rule findings but nothing else beyond the base metrics (real C
-// rarely parses as MiniC; the token metrics already cover it), and report
-// parse-skip so the omission is visible in the diagnostics.
-func enrichFile(f metrics.File, sp *trace.Span) (fileEnrichment, FileStatus, string) {
+// enrichFile runs the deep analyses over one file of language l whose
+// bytes are content: exactly the enrichment record's key, so the record is
+// a function of its key. It parses the file once and hands the parse to the
+// findings layer and the deep passes, all at l. Files that do not parse as
+// MiniC contribute the CWE-mapped token-rule findings but nothing else
+// beyond the base metrics (real C rarely parses as MiniC; the token metrics
+// already cover it), and report parse-skip so the omission is visible in
+// the diagnostics.
+func enrichFile(l lang.Language, content string, sp *trace.Span) (fileEnrichment, FileStatus, string) {
 	var out fileEnrichment
 	// Every file is parsed: lint's AST rules apply in any language.
 	ps := sp.Child("parse")
-	ast, prog, err := ir.Parse(f.Content)
+	ast, prog, err := ir.Parse(content)
 	ps.End()
 	// The findings layer applies to every file: token-level lint rules need
 	// no parse, and the IR-based producers gate themselves on the parse.
 	fds := sp.Child("findings")
-	fa := findings.AnalyzeFile(f, ast, prog)
+	fa := findings.AnalyzeFile(l, content, ast, prog)
 	fds.End()
 	out.InterSinks = fa.InterTaintSinks
 	out.TaintMaxChain = fa.TaintMaxChain
 	out.LintWarnings = fa.LintWarnings
-	if f.Language == lang.Unknown && lang.FromPath(f.Path) != lang.Unknown {
-		// The findings layer linted at the path-inferred language; the
-		// feature counts the file as given.
-		out.LintWarnings = lint.CheckFile(f, ast, prog).Total()
-	}
 	for _, fd := range fa.Findings {
 		if fd.CWE == 0 {
 			continue
@@ -608,7 +608,7 @@ func enrichFile(f metrics.File, sp *trace.Span) (fileEnrichment, FileStatus, str
 			out.CWE78++
 		}
 	}
-	if f.Language != lang.MiniC && f.Language != lang.C {
+	if l != lang.MiniC && l != lang.C {
 		return out, StatusOK, ""
 	}
 	if ast == nil {
@@ -621,9 +621,8 @@ func enrichFile(f metrics.File, sp *trace.Span) (fileEnrichment, FileStatus, str
 	out.TaintedSinks = dataflow.CountTaintedSinks(prog)
 	ts.End()
 	ss := sp.Child("symexec")
-	cfg := symexec.DefaultConfig()
 	for _, fn := range prog.Funcs {
-		out.FeasiblePaths += float64(symexec.Explore(fn, cfg).FeasiblePaths)
+		out.FeasiblePaths += float64(symexec.Explore(fn, symexec.DefaultLoopBound).FeasiblePaths)
 	}
 	ss.End()
 	cs := sp.Child("callgraph")
@@ -633,7 +632,7 @@ func enrichFile(f metrics.File, sp *trace.Span) (fileEnrichment, FileStatus, str
 	cs.End()
 	is := sp.Child("interp")
 	for _, root := range cg.Roots() {
-		prof, err := interp.ProfileFunc(prog, root, 24, 0xd1ce)
+		prof, err := interp.ProfileFunc(prog, root)
 		if err != nil {
 			continue
 		}

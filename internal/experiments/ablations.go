@@ -159,12 +159,10 @@ func AblationSymexecBound(seed uint64) (AblationSymexecBoundResult, error) {
 	}
 	var res AblationSymexecBoundResult
 	for _, bound := range []int{1, 2, 3, 5, 8} {
-		cfg := symexec.DefaultConfig()
-		cfg.LoopBound = bound
 		row := SymexecRow{LoopBound: bound}
 		for _, p := range progs {
 			for _, fn := range p.Funcs {
-				r := symexec.Explore(fn, cfg)
+				r := symexec.Explore(fn, bound)
 				row.Feasible += r.FeasiblePaths
 				row.Truncated += r.TruncatedPaths
 				row.Models += r.ModelCount

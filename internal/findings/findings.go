@@ -180,49 +180,35 @@ type FileAnalysis struct {
 	// TaintMaxChain is the number of functions on the longest
 	// source-to-sink call chain ("taint_path_depth_max" contribution).
 	TaintMaxChain int
-	// LintWarnings is the number of lint warnings among Findings, counted
-	// at the language the file was analyzed at (inferred from the path
-	// when unset).
+	// LintWarnings is the number of lint warnings among Findings.
 	LintWarnings int
 }
 
-// Language is the language AnalyzeFile analyzes f at: f's own, else the
-// one its path names.
-func Language(f metrics.File) lang.Language {
-	if f.Language == lang.Unknown {
-		return lang.FromPath(f.Path)
-	}
-	return f.Language
-}
-
-// AnalyzeFile runs every findings producer over one file, given ast and
-// prog as ir.Parse returns them for its content. The token-level lint
-// rules apply to any language; lint's AST rules need prog, and the taint
-// engine and abstract interpreter need prog and Language(f) MiniC or C. A
-// nil prog (the file did not parse or did not lower) runs the token rules
-// alone. The result is deterministic in the file bytes and Language(f),
-// and sorted by (line, rule, message); the path only fills each finding's
-// File.
-func AnalyzeFile(f metrics.File, ast *minic.Program, prog *ir.Program) FileAnalysis {
+// AnalyzeFile runs every findings producer over one file of language l
+// whose bytes are content, given ast and prog as ir.Parse returns them for
+// content. The token-level lint rules apply to any language; lint's AST
+// rules need prog, and the taint engine and abstract interpreter need prog
+// and l MiniC or C. A nil prog (the file did not parse or did not lower)
+// runs the token rules alone. The result is a function of l and content
+// alone, sorted by (line, rule, message), with every finding's File blank:
+// the caller, which knows the path, fills it in.
+func AnalyzeFile(l lang.Language, content string, ast *minic.Program, prog *ir.Program) FileAnalysis {
 	var fa FileAnalysis
-	f.Language = Language(f)
-
-	rep := lint.CheckFile(f, ast, prog)
+	rep := lint.CheckFile(metrics.File{Language: l, Content: content}, ast, prog)
 	fa.LintWarnings = rep.Total()
 	for _, w := range rep.Warnings {
 		m := LintRules[w.Rule]
 		fa.Findings = append(fa.Findings, Finding{
 			Rule:     "lint/" + string(w.Rule),
 			CWE:      m.ID,
-			File:     f.Path,
 			Line:     w.Line,
 			Severity: m.Sev,
 			Message:  w.Msg,
 		})
 	}
 
-	if prog != nil && (f.Language == lang.MiniC || f.Language == lang.C) {
-		fa.addDeep(f.Path, prog)
+	if prog != nil && (l == lang.MiniC || l == lang.C) {
+		fa.addDeep(prog)
 	}
 
 	sort.SliceStable(fa.Findings, func(i, j int) bool {
@@ -240,7 +226,7 @@ func AnalyzeFile(f metrics.File, ast *minic.Program, prog *ir.Program) FileAnaly
 
 // addDeep appends the IR-based producers: interprocedural taint and the
 // abstract interpreter.
-func (fa *FileAnalysis) addDeep(path string, lowered *ir.Program) {
+func (fa *FileAnalysis) addDeep(lowered *ir.Program) {
 	taint := dataflow.AnalyzeProgramTaint(lowered)
 	fa.InterTaintSinks = len(taint.Findings)
 	fa.TaintMaxChain = taint.MaxChain
@@ -253,7 +239,6 @@ func (fa *FileAnalysis) addDeep(path string, lowered *ir.Program) {
 		fa.Findings = append(fa.Findings, Finding{
 			Rule:     r.rule,
 			CWE:      r.id,
-			File:     path,
 			Line:     tf.Line,
 			Severity: r.sev,
 			Message:  msg,
@@ -269,7 +254,6 @@ func (fa *FileAnalysis) addDeep(path string, lowered *ir.Program) {
 			fa.Findings = append(fa.Findings, Finding{
 				Rule:     "absint/" + w.Kind,
 				CWE:      m.ID,
-				File:     path,
 				Line:     w.Line,
 				Severity: m.Sev,
 				Message:  w.Kind + " in " + fn.Name,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cwe"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
+	"repro/internal/lang"
 	"repro/internal/lint"
 	"repro/internal/metrics"
 )
@@ -32,10 +33,15 @@ func tree(name, src string) *metrics.Tree {
 	return metrics.NewTree(name, metrics.File{Path: name + ".c", Content: src})
 }
 
-// analyze parses f and runs AnalyzeFile on the parse.
+// analyze parses f and runs AnalyzeFile on the parse at f's language,
+// naming f's path in every finding as a collector does.
 func analyze(f metrics.File) FileAnalysis {
 	ast, prog, _ := ir.Parse(f.Content)
-	return AnalyzeFile(f, ast, prog)
+	fa := AnalyzeFile(f.Language, f.Content, ast, prog)
+	for i := range fa.Findings {
+		fa.Findings[i].File = f.Path
+	}
+	return fa
 }
 
 // collect analyzes every file of the tree and merges the per-file lists.
@@ -72,12 +78,37 @@ func TestCollectCrossFunctionCWE121(t *testing.T) {
 }
 
 func TestAnalyzeFileAggregates(t *testing.T) {
-	fa := analyze(metrics.File{Path: "vuln.c", Content: vulnSrc})
+	fa := analyze(metrics.File{Path: "vuln.c", Language: lang.C, Content: vulnSrc})
 	if fa.InterTaintSinks < 2 {
 		t.Fatalf("InterTaintSinks = %d, want >= 2 (strcpy + system)", fa.InterTaintSinks)
 	}
 	if fa.TaintMaxChain != 2 {
 		t.Fatalf("TaintMaxChain = %d, want 2 (main -> copy_into)", fa.TaintMaxChain)
+	}
+}
+
+// TestAnalyzeFileRunsAtItsLanguage: AnalyzeFile reads its language and
+// bytes and nothing else. The taint engine and the abstract interpreter run
+// at MiniC and C only, so the same bytes of unknown language get lint
+// findings alone, and no finding names a path.
+func TestAnalyzeFileRunsAtItsLanguage(t *testing.T) {
+	ast, prog, _ := ir.Parse(vulnSrc)
+	for _, tc := range []struct {
+		l    lang.Language
+		deep bool
+	}{{lang.C, true}, {lang.MiniC, true}, {lang.Unknown, false}, {lang.Python, false}} {
+		fa := AnalyzeFile(tc.l, vulnSrc, ast, prog)
+		if got := fa.InterTaintSinks > 0; got != tc.deep {
+			t.Errorf("%s: InterTaintSinks = %d, want taint findings: %v", tc.l, fa.InterTaintSinks, tc.deep)
+		}
+		for _, fd := range fa.Findings {
+			if fd.File != "" {
+				t.Errorf("%s: finding names %q; AnalyzeFile leaves File to its caller", tc.l, fd.File)
+			}
+			if !tc.deep && !strings.HasPrefix(fd.Rule, "lint/") {
+				t.Errorf("%s: %s finding at a language the deep producers skip", tc.l, fd.Rule)
+			}
+		}
 	}
 }
 
@@ -213,7 +244,7 @@ func TestCollectDeterministic(t *testing.T) {
 func TestNonParsingFileTokenRulesOnly(t *testing.T) {
 	// A file that does not parse as MiniC still yields token-level lint
 	// findings, and no deep findings.
-	fa := analyze(metrics.File{Path: "broken.c", Content: "int main( { gets(x); \n"})
+	fa := analyze(metrics.File{Path: "broken.c", Language: lang.C, Content: "int main( { gets(x); \n"})
 	if fa.InterTaintSinks != 0 || fa.TaintMaxChain != 0 {
 		t.Fatalf("deep aggregates on unparseable file: %+v", fa)
 	}

@@ -14,29 +14,20 @@ import (
 	"repro/internal/stats"
 )
 
-// Config bounds one execution.
-type Config struct {
-	// MaxSteps caps executed instructions (guards infinite loops).
-	MaxSteps int
-	// Inputs supplies values for parameters and the results of input
-	// sources (ir.IsInputSource), consumed in order; when exhausted,
-	// ExternalValue supplies the rest.
-	Inputs []int64
-	// ExternalValue produces results for external calls once Inputs runs
-	// dry. The call index is passed for deterministic variation. An
-	// external call that is not an input source returns ExternalValue
-	// without consuming Inputs.
-	ExternalValue func(name string, callIndex int) int64
-}
+// The interpreter's budgets and sampling, at the testbed's values: a run
+// stops after maxSteps block entries and instructions (guarding infinite
+// loops), and ProfileFunc samples profileRuns input vectors from an RNG
+// seeded with profileSeed.
+const (
+	maxSteps    = 20000
+	profileRuns = 24
+	profileSeed = 0xd1ce
+)
 
-// DefaultConfig mirrors the symbolic executor's conventions.
-func DefaultConfig() Config {
-	return Config{
-		MaxSteps: 100000,
-		ExternalValue: func(name string, callIndex int) int64 {
-			return int64(callIndex%7) * 3 // arbitrary but deterministic
-		},
-	}
+// externalValue is the result of the callIndex-th external call that is
+// not served from the run's inputs: arbitrary but deterministic.
+func externalValue(callIndex int) int64 {
+	return int64(callIndex%7) * 3
 }
 
 // Anomaly is a runtime event worth flagging.
@@ -79,7 +70,7 @@ func (t *Trace) PathSignature() uint64 {
 // machine executes one function activation tree.
 type machine struct {
 	prog      *ir.Program
-	cfg       Config
+	inputs    []int64
 	trace     *Trace
 	inputPos  int
 	callIndex int
@@ -87,23 +78,19 @@ type machine struct {
 	arrays    map[string]map[int64]int64
 }
 
-// Run executes fn with the given configuration. Parameters consume Inputs
-// first. The error is non-nil only for structural problems (unknown
-// function); runtime anomalies are recorded in the trace instead.
-func Run(prog *ir.Program, fnName string, cfg Config) (*Trace, error) {
+// Run executes fn on inputs, which supply its parameters and then the
+// results of input sources (ir.IsInputSource), in order; once they run dry,
+// and for every other external call, externalValue does. The error is
+// non-nil only for structural problems (unknown function); runtime
+// anomalies are recorded in the trace instead.
+func Run(prog *ir.Program, fnName string, inputs []int64) (*Trace, error) {
 	fn, ok := prog.FuncByName(fnName)
 	if !ok {
 		return nil, fmt.Errorf("interp: unknown function %q", fnName)
 	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 100000
-	}
-	if cfg.ExternalValue == nil {
-		cfg.ExternalValue = DefaultConfig().ExternalValue
-	}
 	m := &machine{
-		prog: prog,
-		cfg:  cfg,
+		prog:   prog,
+		inputs: inputs,
 		trace: &Trace{
 			BlockCounts:    map[string]int{},
 			BranchOutcomes: map[string]*[2]int{},
@@ -122,13 +109,13 @@ func Run(prog *ir.Program, fnName string, cfg Config) (*Trace, error) {
 }
 
 func (m *machine) nextInput() int64 {
-	if m.inputPos < len(m.cfg.Inputs) {
-		v := m.cfg.Inputs[m.inputPos]
+	if m.inputPos < len(m.inputs) {
+		v := m.inputs[m.inputPos]
 		m.inputPos++
 		return v
 	}
 	m.callIndex++
-	return m.cfg.ExternalValue("<input>", m.callIndex)
+	return externalValue(m.callIndex)
 }
 
 // call executes one activation; returns (value, completedNormally).
@@ -148,7 +135,7 @@ func (m *machine) call(fn *ir.Func, args []int64, depth int) (int64, bool) {
 		// Each block entry costs one step, so empty-body loops (while(1){})
 		// still exhaust the budget.
 		m.trace.Steps++
-		if m.trace.Steps > m.cfg.MaxSteps {
+		if m.trace.Steps > maxSteps {
 			m.anomaly("steps-exhausted", 0)
 			return 0, false
 		}
@@ -158,7 +145,7 @@ func (m *machine) call(fn *ir.Func, args []int64, depth int) (int64, bool) {
 		m.trace.BlockCounts[block.Name]++
 		for _, in := range block.Instrs {
 			m.trace.Steps++
-			if m.trace.Steps > m.cfg.MaxSteps {
+			if m.trace.Steps > maxSteps {
 				m.anomaly("steps-exhausted", in.SrcLine())
 				return 0, false
 			}
@@ -271,7 +258,7 @@ func (m *machine) step(in ir.Instr, env map[string]int64, depth int) bool {
 			result = m.nextInput()
 		} else {
 			m.callIndex++
-			result = m.cfg.ExternalValue(x.Name, m.callIndex)
+			result = externalValue(m.callIndex)
 		}
 		if x.Dst != nil {
 			m.store(x.Dst, result, env)
@@ -354,29 +341,26 @@ type Profile struct {
 	Anomalies      map[string]int
 }
 
-// ProfileFunc runs fn with nSamples random input vectors drawn from
-// [0, 255] and aggregates the traces.
-func ProfileFunc(prog *ir.Program, fnName string, nSamples int, seed uint64) (*Profile, error) {
+// ProfileFunc runs fn profileRuns times, each on a random input vector
+// drawn from [ir.InputMin, ir.InputMax], and aggregates the traces.
+func ProfileFunc(prog *ir.Program, fnName string) (*Profile, error) {
 	fn, ok := prog.FuncByName(fnName)
 	if !ok {
 		return nil, fmt.Errorf("interp: unknown function %q", fnName)
 	}
-	rng := stats.NewRNG(seed)
+	rng := stats.NewRNG(profileSeed)
 	paths := map[uint64]bool{}
 	blocksSeen := map[string]bool{}
 	branchSeen := map[string]*[2]int{}
-	p := &Profile{Runs: nSamples, Anomalies: map[string]int{}}
+	p := &Profile{Runs: profileRuns, Anomalies: map[string]int{}}
 	totalSteps := 0
-	for i := 0; i < nSamples; i++ {
-		cfg := DefaultConfig()
+	for i := 0; i < profileRuns; i++ {
 		// Enough inputs for params plus a few source calls per run.
 		inputs := make([]int64, len(fn.Params)+8)
 		for j := range inputs {
-			inputs[j] = int64(rng.Intn(256))
+			inputs[j] = ir.InputMin + int64(rng.Intn(ir.InputMax-ir.InputMin+1))
 		}
-		cfg.Inputs = inputs
-		cfg.MaxSteps = 20000
-		tr, err := Run(prog, fnName, cfg)
+		tr, err := Run(prog, fnName, inputs)
 		if err != nil {
 			return nil, err
 		}
@@ -402,9 +386,7 @@ func ProfileFunc(prog *ir.Program, fnName string, nSamples int, seed uint64) (*P
 		totalSteps += tr.Steps
 	}
 	p.UniquePaths = len(paths)
-	if nSamples > 0 {
-		p.MeanSteps = float64(totalSteps) / float64(nSamples)
-	}
+	p.MeanSteps = float64(totalSteps) / profileRuns
 	if n := len(fn.Blocks); n > 0 {
 		covered := 0
 		for _, b := range fn.Blocks {

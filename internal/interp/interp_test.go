@@ -9,9 +9,7 @@ import (
 func run(t *testing.T, src, fn string, inputs ...int64) *Trace {
 	t.Helper()
 	prog := ir.MustLowerSource(src)
-	cfg := DefaultConfig()
-	cfg.Inputs = inputs
-	tr, err := Run(prog, fn, cfg)
+	tr, err := Run(prog, fn, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +112,7 @@ func TestRunNegativeIndexAnomaly(t *testing.T) {
 
 func TestRunInfiniteLoopBudget(t *testing.T) {
 	prog := ir.MustLowerSource("int f(void) { while (1) { } return 0; }")
-	cfg := DefaultConfig()
-	cfg.MaxSteps = 1000
-	tr, err := Run(prog, "f", cfg)
+	tr, err := Run(prog, "f", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +129,14 @@ func TestRunInfiniteLoopBudget(t *testing.T) {
 	// block loop via Steps... blocks without instrs never increment Steps.
 	// The branch itself is free; ensure we still terminated via trace cap
 	// or anomaly.
-	if !found && tr.Steps <= cfg.MaxSteps && len(tr.Blocks) < 4096 {
+	if !found && tr.Steps <= maxSteps && len(tr.Blocks) < 4096 {
 		t.Fatalf("infinite loop neither exhausted steps nor capped: %+v", tr.Steps)
 	}
 }
 
 func TestRunUnknownFunction(t *testing.T) {
 	prog := ir.MustLowerSource("int f(void) { return 0; }")
-	if _, err := Run(prog, "ghost", DefaultConfig()); err == nil {
+	if _, err := Run(prog, "ghost", nil); err == nil {
 		t.Fatal("unknown function ran")
 	}
 }
@@ -186,14 +182,14 @@ int classify(int x) {
 	return 3;
 }`
 	prog := ir.MustLowerSource(src)
-	p, err := ProfileFunc(prog, "classify", 100, 7)
+	p, err := ProfileFunc(prog, "classify")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Completed != 100 {
-		t.Fatalf("completed = %d", p.Completed)
+	if p.Runs != profileRuns || p.Completed != profileRuns {
+		t.Fatalf("runs = %d, completed = %d, want %d", p.Runs, p.Completed, profileRuns)
 	}
-	// With 100 uniform byte samples, all four outcomes appear.
+	// The profile's uniform byte samples meet all four outcomes.
 	if p.UniquePaths != 4 {
 		t.Fatalf("unique paths = %d, want 4", p.UniquePaths)
 	}
@@ -206,10 +202,11 @@ int classify(int x) {
 }
 
 func TestProfileFindsRareAnomalies(t *testing.T) {
-	// x == 0 occurs with probability 1/256 per sample; 2000 samples make it
-	// overwhelmingly likely (and deterministic given the seed).
-	prog := ir.MustLowerSource("int f(int x) { return 100 / x; }")
-	p, err := ProfileFunc(prog, "f", 2000, 11)
+	// The divisor is 0 on a quarter of the byte inputs, so the profile's
+	// sampled runs meet the fault and complete too (deterministically,
+	// given the seed).
+	prog := ir.MustLowerSource("int f(int x) { return 100 / (x % 4); }")
+	p, err := ProfileFunc(prog, "f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +220,7 @@ func TestProfileFindsRareAnomalies(t *testing.T) {
 
 func TestProfileStraightLine(t *testing.T) {
 	prog := ir.MustLowerSource("int f(int x) { return x + 1; }")
-	p, err := ProfileFunc(prog, "f", 10, 3)
+	p, err := ProfileFunc(prog, "f")
 	if err != nil {
 		t.Fatal(err)
 	}

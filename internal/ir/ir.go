@@ -90,6 +90,14 @@ type Call struct {
 	Line int
 }
 
+// InputMin and InputMax bound the input domain: every parameter and every
+// input source's result is a byte, [0, 255]. The symbolic executor and the
+// abstract interpreter assume that range, and the interpreter samples it.
+const (
+	InputMin = 0
+	InputMax = 255
+)
+
 // IsInputSource reports whether a call to name reads a fresh program input:
 // the calls whose results the symbolic executor, the abstract interpreter
 // and the interpreter draw from their input domain. The taint engine's

@@ -12,7 +12,7 @@ import (
 // finders the paper surveys, several of these are deliberately noisy; the
 // model is what separates the wheat from the chaff.
 func checkAST(path string, ast *minic.Program, prog *ir.Program, rep *Report) {
-	for _, f := range prog.Funcs {
+	for i, f := range prog.Funcs {
 		for _, d := range dataflow.DeadStores(f) {
 			if d.Var == "" || d.Temp {
 				continue
@@ -24,10 +24,12 @@ func checkAST(path string, ast *minic.Program, prog *ir.Program, rep *Report) {
 			rep.add(RuleDeadStore, path, line, "value assigned to "+d.Var+" is never used")
 		}
 		// Missing return: an implicit (value-less) return in MiniC, where
-		// every function returns int.
+		// every function returns int. It is reported at the block's last
+		// instruction, or at the function's declaration when the block
+		// holds none (Lower makes one function per declaration, in order).
 		for _, b := range f.Blocks {
 			if r, ok := b.Term.(*ir.Ret); ok && r.Value == nil {
-				line := 0
+				line := ast.Funcs[i].Line
 				if n := len(b.Instrs); n > 0 {
 					line = b.Instrs[n-1].SrcLine()
 				}

@@ -115,6 +115,29 @@ int g(int a) {
 	}
 }
 
+// TestMissingReturnLine: a function whose fall-through block holds no
+// instruction is reported at its declaration, not at line 0.
+func TestMissingReturnLine(t *testing.T) {
+	rep := Check(tree(metrics.File{Path: "p.mc", Content: `int relay(int dst, int n) {
+  return n;
+}
+
+int maybe(int a) {
+  if (a > 0) {
+    return relay(0, a);
+  }
+}
+`}))
+	if rep.Count(RuleMissingReturn) != 1 {
+		t.Fatalf("missing return = %d\n%s", rep.Count(RuleMissingReturn), rep)
+	}
+	for _, w := range rep.Warnings {
+		if w.Rule == RuleMissingReturn && w.Line != 5 {
+			t.Fatalf("missing return reported at line %d, want 5 (maybe's declaration)\n%s", w.Line, rep)
+		}
+	}
+}
+
 func TestInfiniteLoopRuleMiniC(t *testing.T) {
 	rep := Check(tree(metrics.File{Path: "p.mc", Content: `
 int f(int a) {

@@ -17,12 +17,17 @@ import (
 )
 
 // wantFindings is the uncached, sequential findings report of a tree:
-// AnalyzeFile per file, the severity filter, then the merge.
+// AnalyzeFile per file, the severity filter, each kept finding named by its
+// file's path, then the merge.
 func wantFindings(tree *metrics.Tree, minSev findings.Severity) *findings.Report {
 	perFile := make([][]findings.Finding, len(tree.Files))
 	for i, f := range tree.Files {
 		ast, prog, _ := ir.Parse(f.Content)
-		perFile[i] = (&findings.Report{Findings: findings.AnalyzeFile(f, ast, prog).Findings}).MinSeverity(minSev).Findings
+		all := findings.AnalyzeFile(f.Language, f.Content, ast, prog).Findings
+		perFile[i] = (&findings.Report{Findings: all}).MinSeverity(minSev).Findings
+		for j := range perFile[i] {
+			perFile[i][j].File = f.Path
+		}
 	}
 	return findings.Merge(perFile)
 }

@@ -20,10 +20,9 @@ int classify(int x, int y) {
 
 func BenchmarkExplore(b *testing.B) {
 	fn := ir.MustLowerSource(benchSrc).Funcs[0]
-	cfg := DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := Explore(fn, cfg)
+		res := Explore(fn, DefaultLoopBound)
 		if res.FeasiblePaths == 0 {
 			b.Fatal("no paths")
 		}

@@ -27,15 +27,13 @@ func TestExploreGeneratedPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			cfg := DefaultConfig()
-			cfg.MaxPaths = 512
 			for _, fn := range lowered.Funcs {
-				res := Explore(fn, cfg)
+				res := Explore(fn, DefaultLoopBound)
 				total := res.FeasiblePaths + res.TruncatedPaths + res.InfeasiblePaths
 				if total == 0 {
 					t.Fatalf("seed %d %s: no paths at all", seed, fn.Name)
 				}
-				if res.FeasiblePaths+res.TruncatedPaths > cfg.MaxPaths+2 {
+				if res.FeasiblePaths+res.TruncatedPaths > maxPaths+2 {
 					t.Fatalf("seed %d %s: budget exceeded (%d)", seed, fn.Name, total)
 				}
 				if res.BlocksCovered > res.BlocksTotal {
@@ -67,7 +65,7 @@ int f(int x) {
 	return y;
 }`
 	fn := ir.MustLowerSource(src).Funcs[0]
-	res := Explore(fn, DefaultConfig())
+	res := Explore(fn, DefaultLoopBound)
 	concrete := func(x int64) int64 {
 		var y int64
 		if x < 50 {

@@ -7,29 +7,21 @@ import (
 	"repro/internal/ir"
 )
 
-// Config bounds the exploration and declares input ranges.
-type Config struct {
-	// InputRange is the interval assumed for every input (parameters and
-	// results of input sources, ir.IsInputSource).
-	InputRange Interval
-	// MaxPaths caps the number of explored paths.
-	MaxPaths int
-	// MaxSteps caps instructions executed along one path.
-	MaxSteps int
-	// LoopBound caps visits to any single block along one path.
-	LoopBound int
-}
+// Explore's budgets: it stops after maxPaths paths and truncates a path
+// after maxSteps instructions.
+const (
+	maxPaths = 4096
+	maxSteps = 10000
+)
 
-// DefaultConfig uses byte-ranged inputs and modest exploration bounds,
-// matching a quick per-function analysis.
-func DefaultConfig() Config {
-	return Config{
-		InputRange: Interval{Lo: 0, Hi: 255},
-		MaxPaths:   4096,
-		MaxSteps:   10000,
-		LoopBound:  3,
-	}
-}
+// DefaultLoopBound is the testbed's loop bound: Explore visits any block
+// at most that many times along one path. Ablation A4 varies it.
+const DefaultLoopBound = 3
+
+// inputRange is the interval of every input (parameters and results of
+// input sources, ir.IsInputSource): the byte range ir declares. Nothing
+// assigns it: it is a constant Go cannot declare as one.
+var inputRange = Interval{Lo: ir.InputMin, Hi: ir.InputMax}
 
 // PathRecord describes one completed feasible path.
 type PathRecord struct {
@@ -168,22 +160,23 @@ func (s *state) modelCount() float64 {
 
 // executor carries shared exploration context.
 type executor struct {
-	cfg     Config
-	f       *ir.Func
-	defOf   map[string]ir.Instr // temp name -> defining instruction
-	res     *Result
-	covered map[*ir.Block]bool
-	stopped bool
+	loopBound int
+	f         *ir.Func
+	defOf     map[string]ir.Instr // temp name -> defining instruction
+	res       *Result
+	covered   map[*ir.Block]bool
+	stopped   bool
 }
 
-// Explore symbolically executes f under cfg.
-func Explore(f *ir.Func, cfg Config) *Result {
+// Explore symbolically executes f, visiting any block at most loopBound
+// times along one path.
+func Explore(f *ir.Func, loopBound int) *Result {
 	ex := &executor{
-		cfg:     cfg,
-		f:       f,
-		defOf:   map[string]ir.Instr{},
-		res:     &Result{BlocksTotal: len(f.Blocks)},
-		covered: map[*ir.Block]bool{},
+		loopBound: loopBound,
+		f:         f,
+		defOf:     map[string]ir.Instr{},
+		res:       &Result{BlocksTotal: len(f.Blocks)},
+		covered:   map[*ir.Block]bool{},
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -205,8 +198,8 @@ func Explore(f *ir.Func, cfg Config) *Result {
 	}
 	inputSpace := 1.0
 	for _, p := range f.Params {
-		st.markInput(p, cfg.InputRange)
-		inputSpace *= cfg.InputRange.Width()
+		st.markInput(p, inputRange)
+		inputSpace *= inputRange.Width()
 	}
 	ex.res.InputSpace = inputSpace
 	ex.run(f.Entry(), st)
@@ -218,7 +211,7 @@ func Explore(f *ir.Func, cfg Config) *Result {
 }
 
 func (ex *executor) pathBudgetLeft() bool {
-	return ex.res.FeasiblePaths+ex.res.TruncatedPaths+ex.res.InfeasiblePaths < ex.cfg.MaxPaths
+	return ex.res.FeasiblePaths+ex.res.TruncatedPaths+ex.res.InfeasiblePaths < maxPaths
 }
 
 func (ex *executor) run(b *ir.Block, st *state) {
@@ -230,7 +223,7 @@ func (ex *executor) run(b *ir.Block, st *state) {
 		return
 	}
 	st.visits[b]++
-	if st.visits[b] > ex.cfg.LoopBound {
+	if st.visits[b] > ex.loopBound {
 		ex.res.TruncatedPaths++
 		return
 	}
@@ -239,7 +232,7 @@ func (ex *executor) run(b *ir.Block, st *state) {
 
 	for _, in := range b.Instrs {
 		st.steps++
-		if st.steps > ex.cfg.MaxSteps {
+		if st.steps > maxSteps {
 			ex.res.TruncatedPaths++
 			return
 		}
@@ -349,8 +342,8 @@ func (ex *executor) step(in ir.Instr, st *state) {
 			name := x.Dst.String()
 			if ir.IsInputSource(x.Name) {
 				st.ver[name]++
-				st.markInput(name, ex.cfg.InputRange)
-				ex.res.InputSpace = math.Min(ex.res.InputSpace*ex.cfg.InputRange.Width(), 1e30)
+				st.markInput(name, inputRange)
+				ex.res.InputSpace = math.Min(ex.res.InputSpace*inputRange.Width(), 1e30)
 			} else {
 				st.write(name, Top())
 			}
@@ -566,10 +559,10 @@ func varName(v ir.Value) (string, bool) {
 
 // Log10Paths summarizes a whole program as the base-10 logarithm of the
 // total feasible-path count plus one — the "feasible_paths_log10" feature.
-func Log10Paths(p *ir.Program, cfg Config) float64 {
+func Log10Paths(p *ir.Program, loopBound int) float64 {
 	total := 0.0
 	for _, f := range p.Funcs {
-		total += float64(Explore(f, cfg).FeasiblePaths)
+		total += float64(Explore(f, loopBound).FeasiblePaths)
 	}
 	return math.Log10(total + 1)
 }

@@ -1,6 +1,7 @@
 package symexec
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ir"
@@ -9,7 +10,7 @@ import (
 func explore(t *testing.T, src string) *Result {
 	t.Helper()
 	f := ir.MustLowerSource(src).Funcs[0]
-	return Explore(f, DefaultConfig())
+	return Explore(f, DefaultLoopBound)
 }
 
 func TestExploreStraightLine(t *testing.T) {
@@ -201,19 +202,18 @@ int f(int x) {
 }
 
 func TestExplorePathBudget(t *testing.T) {
-	// 2^20 paths would explode; the budget must cap exploration.
-	src := "int f(int a) {\n int s = 0;\n"
+	// Each branch tests a fresh input, so the 2^20 paths are all feasible
+	// and exploration runs into the production budget, which must cap it.
+	src := "int f(void) {\n int s = 0;\n"
 	for i := 0; i < 20; i++ {
-		src += "if (a > 0) { s = s + 1; } else { s = s - 1; }\n"
+		src += fmt.Sprintf("int v%d = read_input();\nif (v%d > 127) { s = s + 1; } else { s = s - 1; }\n", i, i)
 	}
 	src += "return s;\n}"
 	f := ir.MustLowerSource(src).Funcs[0]
-	cfg := DefaultConfig()
-	cfg.MaxPaths = 100
-	res := Explore(f, cfg)
+	res := Explore(f, DefaultLoopBound)
 	total := res.FeasiblePaths + res.TruncatedPaths + res.InfeasiblePaths
-	if total > cfg.MaxPaths+2 {
-		t.Fatalf("budget exceeded: %d", total)
+	if total < maxPaths || total > maxPaths+2 {
+		t.Fatalf("explored %d paths, want the budget of %d (+2)", total, maxPaths)
 	}
 }
 
@@ -235,7 +235,7 @@ func TestLog10Paths(t *testing.T) {
 int a(int x) { if (x) { return 1; } return 0; }
 int b(void) { return 2; }
 `)
-	got := Log10Paths(p, DefaultConfig())
+	got := Log10Paths(p, DefaultLoopBound)
 	if got <= 0 {
 		t.Fatalf("Log10Paths = %v", got)
 	}
