@@ -14,8 +14,8 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the apply-a-changeset form of the extraction pipeline
-// (ROADMAP item 2). A Session holds one tree's per-file state — base-metric
+// This file is the apply-a-changeset form of the extraction pipeline,
+// behind /v1/delta. A Session holds one tree's per-file state — base-metric
 // scans, lint counts, and deep-analysis enrichments — plus the aggregation
 // state needed to update the tree-level feature vector when only a few
 // files change. The correctness contract is byte parity: after any

@@ -35,16 +35,26 @@ const (
 	SevCritical
 )
 
-// MarshalJSON renders the level by name, so JSON reports read
-// "high" rather than an opaque ordinal.
-func (s Severity) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.String())
+// MarshalText renders the level by name, so JSON reports read "high"
+// rather than an opaque ordinal.
+func (s Severity) MarshalText() ([]byte, error) {
+	return []byte(s.String()), nil
 }
 
-// UnmarshalJSON accepts the named form MarshalJSON emits (and, for
+// UnmarshalJSON accepts the named form MarshalText emits (and, for
 // tolerance, the raw ordinal), so JSON reports round-trip through typed
-// clients.
+// clients. A quoted name of printable ASCII without escapes, the form
+// MarshalText emits, is parsed in place; anything else goes through
+// json.Unmarshal.
 func (s *Severity) UnmarshalJSON(data []byte) error {
+	if name, ok := plainQuoted(data); ok {
+		v, err := ParseSeverity(name)
+		if err != nil {
+			return err
+		}
+		*s = v
+		return nil
+	}
 	var name string
 	if err := json.Unmarshal(data, &name); err != nil {
 		var n int
@@ -60,6 +70,21 @@ func (s *Severity) UnmarshalJSON(data []byte) error {
 	}
 	*s = v
 	return nil
+}
+
+// plainQuoted returns the inside of data when data is a JSON string of
+// printable ASCII without escapes, which decodes to exactly those bytes.
+func plainQuoted(data []byte) (string, bool) {
+	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
+		return "", false
+	}
+	inner := data[1 : len(data)-1]
+	for _, b := range inner {
+		if b < 0x20 || b > 0x7e || b == '"' || b == '\\' {
+			return "", false
+		}
+	}
+	return string(inner), true
 }
 
 // ParseSeverity parses a level name as rendered by String; the empty

@@ -1,8 +1,11 @@
 package findings
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -256,5 +259,48 @@ func TestNonParsingFileTokenRulesOnly(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("token lint findings missing on unparseable file: %+v", fa.Findings)
+	}
+}
+
+// TestSeverityJSON: a level encodes exactly as json.Marshal(s.String())
+// did before Severity became a text marshaler, alone and inside a
+// Finding, and decodes from its name and from its ordinal. Names in other
+// spellings and unknown names decode as json.Unmarshal then ParseSeverity
+// read them.
+func TestSeverityJSON(t *testing.T) {
+	for _, s := range []Severity{SevInfo, SevLow, SevMedium, SevHigh, SevCritical, 7, -1} {
+		want, err := json.Marshal(s.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(s)
+		if err != nil || string(got) != string(want) {
+			t.Errorf("json.Marshal(%d) = %s, %v; want %s", int(s), got, err, want)
+		}
+		f, err := json.Marshal(Finding{Severity: s})
+		if err != nil || !strings.Contains(string(f), `"Severity":`+string(want)) {
+			t.Errorf("Finding with severity %d encodes as %s, %v", int(s), f, err)
+		}
+		var named, ordinal Severity
+		if err := json.Unmarshal(got, &named); err != nil || named.String() != s.String() {
+			t.Errorf("%s decodes as %v, %v", got, named, err)
+		}
+		if err := json.Unmarshal([]byte(strconv.Itoa(int(s))), &ordinal); err != nil || ordinal != s {
+			t.Errorf("ordinal %d decodes as %d, %v", int(s), int(ordinal), err)
+		}
+	}
+	for _, data := range []string{`"HIGH"`, `"h\u0069gh"`, `"bogus"`, `"b\u00e9"`, `"\u0000"`, `"cafÃ©"`, `null`, `2`, `true`} {
+		var got Severity
+		err := json.Unmarshal([]byte(data), &got)
+		var name string
+		want, wantErr := Severity(0), json.Unmarshal([]byte(data), &name)
+		if wantErr == nil {
+			want, wantErr = ParseSeverity(name)
+		} else if n, err := strconv.Atoi(data); err == nil {
+			want, wantErr = Severity(n), nil
+		}
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s decodes as %d, %v; want %d, %v", data, int(got), err, int(want), wantErr)
+		}
 	}
 }

@@ -28,20 +28,28 @@ const (
 	branchCellOverhead = 2 + 8     // klen u16, child u64
 )
 
+// cellSize returns the encoded length of cell i.
+func (n *node) cellSize(i int) int {
+	if !n.leaf {
+		return branchCellOverhead + len(n.keys[i])
+	}
+	sz := leafCellOverhead + len(n.keys[i])
+	if n.ovf[i] == 0 {
+		sz += len(n.vals[i])
+	}
+	return sz
+}
+
 // size returns the encoded page length of the node.
 func (n *node) size() int {
+	return n.headSize(len(n.keys))
+}
+
+// headSize returns the encoded page length of the node's first c cells.
+func (n *node) headSize(c int) int {
 	sz := pageHeaderSize
-	if n.leaf {
-		for i, k := range n.keys {
-			sz += leafCellOverhead + len(k)
-			if n.ovf[i] == 0 {
-				sz += len(n.vals[i])
-			}
-		}
-	} else {
-		for _, k := range n.keys {
-			sz += branchCellOverhead + len(k)
-		}
+	for i := range c {
+		sz += n.cellSize(i)
 	}
 	return sz
 }
@@ -81,9 +89,13 @@ func (n *node) encode() []byte {
 	return p
 }
 
-// decodeNode parses a checked page into a node. Every offset is bounds-
-// validated so a page that passed its CRC but carries inconsistent cell
-// lengths still surfaces as ErrCorrupt instead of a panic.
+// decodeNode parses a checked page into a node whose keys and inline
+// values point into p, capped at their length so an append cannot reach
+// the bytes behind them. Nothing writes into a sealed page image (the
+// cache serves it to every reader), so the node may share it. Every offset
+// is bounds-validated so a page that passed its CRC but carries
+// inconsistent cell lengths still surfaces as ErrCorrupt instead of a
+// panic.
 func decodeNode(p []byte, pgid uint64) (*node, error) {
 	flags := pageFlags(p)
 	if flags != flagLeaf && flags != flagBranch {
@@ -125,14 +137,14 @@ func decodeNode(p []byte, pgid uint64) (*node, error) {
 			if r+klen > pageSize {
 				return bad()
 			}
-			key := append([]byte(nil), p[r:r+klen]...)
+			key := p[r : r+klen : r+klen]
 			r += klen
 			var val []byte
 			if ov == 0 {
 				if r+int(vl) > pageSize {
 					return bad()
 				}
-				val = append([]byte(nil), p[r:r+int(vl)]...)
+				val = p[r : r+int(vl) : r+int(vl)]
 				r += int(vl)
 			}
 			n.keys = append(n.keys, key)
@@ -149,7 +161,7 @@ func decodeNode(p []byte, pgid uint64) (*node, error) {
 			if r+klen > pageSize {
 				return bad()
 			}
-			n.keys = append(n.keys, append([]byte(nil), p[r:r+klen]...))
+			n.keys = append(n.keys, p[r:r+klen:r+klen])
 			n.children = append(n.children, child)
 			r += klen
 		}
@@ -202,32 +214,41 @@ func (n *node) insertBranchCell(i int, key []byte, child uint64) {
 }
 
 // split carves the node's tail cells into a fresh right sibling so both
-// halves fit a page, splitting at the size midpoint (never leaving either
-// side empty). The caller has already established size() > pageSize.
-func (n *node) split() *node {
-	right := &node{leaf: n.leaf}
+// halves fit a page, never leaving either side empty. The caller has
+// already established size() > pageSize. added is the index of the cell
+// the overflowing insert added, or -1 when no cell was added (an
+// overwrite, or a branch whose separator grew). After an insert the cut
+// falls right after the added cell, or right before it when the cells up
+// to and including it overflow a page or it is the last cell: keys
+// appended at one point then leave full pages behind them instead of
+// half-full ones. Otherwise, or if that cut leaves a half over a page, the
+// cut falls at the size midpoint.
+func (n *node) split(added int) *node {
 	total := n.size()
-	acc := pageHeaderSize
-	cut := len(n.keys) - 1 // fallback: move at least the last cell
-	for i := range n.keys {
-		var cell int
-		if n.leaf {
-			cell = leafCellOverhead + len(n.keys[i])
-			if n.ovf[i] == 0 {
-				cell += len(n.vals[i])
-			}
-		} else {
-			cell = branchCellOverhead + len(n.keys[i])
+	cut := 0
+	if added >= 0 {
+		cut = added + 1
+		if cut == len(n.keys) || n.headSize(cut) > pageSize {
+			cut = added
 		}
-		if i > 0 && acc+cell > total/2 {
-			cut = i
-			break
+		if head := n.headSize(cut); head > pageSize || total-head+pageHeaderSize > pageSize {
+			cut = 0
 		}
-		acc += cell
 	}
 	if cut == 0 {
-		cut = 1
+		cut = len(n.keys) - 1 // fallback: move at least the last cell
+		acc := pageHeaderSize
+		for i := range n.keys {
+			cell := n.cellSize(i)
+			if i > 0 && acc+cell > total/2 {
+				cut = i
+				break
+			}
+			acc += cell
+		}
+		cut = max(cut, 1)
 	}
+	right := &node{leaf: n.leaf}
 	right.keys = append(right.keys, n.keys[cut:]...)
 	n.keys = n.keys[:cut]
 	if n.leaf {

@@ -58,9 +58,9 @@ func FuzzDecodeNode(f *testing.F) {
 	})
 }
 
-// TestDecodeNodeSizesSlicesOnce pins that decoding allocates the node, its
-// cell slices once each, and a copy per key and inline value: no slice
-// regrows while the cells are read.
+// TestDecodeNodeSizesSlicesOnce pins that decoding allocates the node and
+// its cell slices once each, and nothing per cell: no slice regrows while
+// the cells are read, and keys and inline values point into the page.
 func TestDecodeNodeSizesSlicesOnce(t *testing.T) {
 	leaf := &node{leaf: true}
 	branch := &node{}
@@ -78,8 +78,8 @@ func TestDecodeNodeSizesSlicesOnce(t *testing.T) {
 		n    *node
 		want float64
 	}{
-		{"leaf", leaf, 1 + 4 + 60 + 60},
-		{"branch", branch, 1 + 2 + 60},
+		{"leaf", leaf, 1 + 4},
+		{"branch", branch, 1 + 2},
 	} {
 		p := tc.n.encode()
 		got := testing.AllocsPerRun(20, func() {

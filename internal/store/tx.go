@@ -116,7 +116,8 @@ func (tx *Tx) touch(pgid uint64) (uint64, *node, error) {
 	return id, n, nil
 }
 
-// Get reads key through the transaction's own uncommitted view.
+// Get reads key through the transaction's own uncommitted view. The
+// returned slice must not be modified.
 func (tx *Tx) Get(key []byte) ([]byte, bool, error) {
 	if tx.done {
 		return nil, false, ErrTxDone
@@ -180,6 +181,7 @@ func (tx *Tx) insert(pgid uint64, key, val []byte, ovf uint64, vlen uint32) (uin
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	added := -1 // the cell this insert adds to n, if any
 	if n.leaf {
 		i, found := n.search(key)
 		if found {
@@ -191,6 +193,7 @@ func (tx *Tx) insert(pgid uint64, key, val []byte, ovf uint64, vlen uint32) (uin
 			n.keys[i], n.vals[i], n.ovf[i], n.vlen[i] = key, val, ovf, vlen
 		} else {
 			n.insertLeafCell(i, key, val, ovf, vlen)
+			added = i
 		}
 	} else {
 		if len(n.children) == 0 {
@@ -205,10 +208,11 @@ func (tx *Tx) insert(pgid uint64, key, val []byte, ovf uint64, vlen uint32) (uin
 		n.keys[ci] = childFirst
 		if sp != nil {
 			n.insertBranchCell(ci+1, sp.key, sp.pgid)
+			added = ci + 1
 		}
 	}
 	if n.size() > pageSize {
-		right := n.split()
+		right := n.split(added)
 		rid := tx.alloc()
 		tx.nodes[rid] = right
 		return id, n.keys[0], &splitResult{pgid: rid, key: right.keys[0]}, nil

@@ -556,13 +556,3 @@ func varName(v ir.Value) (string, bool) {
 	}
 	return "", false
 }
-
-// Log10Paths summarizes a whole program as the base-10 logarithm of the
-// total feasible-path count plus one — the "feasible_paths_log10" feature.
-func Log10Paths(p *ir.Program, loopBound int) float64 {
-	total := 0.0
-	for _, f := range p.Funcs {
-		total += float64(Explore(f, loopBound).FeasiblePaths)
-	}
-	return math.Log10(total + 1)
-}

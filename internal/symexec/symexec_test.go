@@ -230,17 +230,6 @@ int f(int x) {
 	}
 }
 
-func TestLog10Paths(t *testing.T) {
-	p := ir.MustLowerSource(`
-int a(int x) { if (x) { return 1; } return 0; }
-int b(void) { return 2; }
-`)
-	got := Log10Paths(p, DefaultLoopBound)
-	if got <= 0 {
-		t.Fatalf("Log10Paths = %v", got)
-	}
-}
-
 func TestExploreArrays(t *testing.T) {
 	res := explore(t, `
 int f(int i) {

@@ -36,13 +36,15 @@ var (
 	QueryRoute          = route[QueryRequest]("/v1/query")
 )
 
-// shardKeys holds, by path, the body-keying function of every Route.
+// shardKeys holds, by path, the body-keying function of every Route. It
+// decodes the body with its files' contents elided (elideContent): a key
+// never reads them, and decoding them was most of the router's own work.
 var shardKeys = map[string]func(body []byte) (string, error){}
 
 func route[Req Keyed](path string) Route[Req] {
 	shardKeys[path] = func(body []byte) (string, error) {
 		var req Req
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(elideContent(body), &req); err != nil {
 			return "", fmt.Errorf("decode request: %w", err)
 		}
 		return req.ShardKey()

@@ -9,7 +9,8 @@
 # against their reference implementations, the query parser, the daemon's wire-to-tree
 # admission, the classifier decoder, the whole model loader in both
 # formats, the store's page decoder, overflow-chain reader and Open over
-# fuzzed meta slots and log, the client's NDJSON stream reader, and the
+# fuzzed meta slots and log, the client's NDJSON stream reader, the
+# router's shard keys against the full decode they replace, and the
 # feature cache's disk records. The servebench module, which the root
 # module's build never reaches, is vetted and tested on its own.
 #
@@ -98,6 +99,13 @@ go test -run Fuzz -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 5x ./internal/s
 
 echo "== fuzz smoke (FuzzReadStream, 10s) =="
 go test -run Fuzz -fuzz FuzzReadStream -fuzztime 10s ./pkg/client
+
+# FuzzShardKey holds every route's key function, which decodes a body with
+# its file contents elided, to the full json.Unmarshal it replaced. One
+# seed is a generated tree of a few KB, so it caps minimization at 5 runs
+# as well.
+echo "== fuzz smoke (FuzzShardKey, 10s) =="
+go test -run Fuzz -fuzz FuzzShardKey -fuzztime 10s -fuzzminimizetime 5x ./pkg/api
 
 # FuzzCacheRecord plants each input as a feature-cache entry of both record
 # kinds. Its seeds are the ~1 KB golden records; without the cap one
